@@ -11,6 +11,8 @@
 
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -36,6 +38,42 @@ struct CompactTopology {
     std::vector<std::uint32_t> edges;    ///< local ids, ascending per row
 };
 
+/// The Definition-2 construction for k >= 1: a truncated BFS from the
+/// center to depth k that emits G_k(v) straight into CSR form over dense
+/// local ids, in O(ball edges).  Members are every node within k hops,
+/// sorted ascending (local id = position); link (a, b) between two members
+/// is visible iff min(dist(a), dist(b)) <= k - 1.  Epoch stamps validate
+/// `dist`/`g2l` without an O(n) clear per view, and every buffer only
+/// grows, so steady-state compiles allocate nothing.  One builder per
+/// thread: `compile` mutates it.
+struct KHopViewBuilder {
+    // Output of the last `compile`.
+    std::vector<NodeId> members;         ///< ascending global ids
+    std::vector<std::uint32_t> offsets;  ///< CSR rows, size members+1
+    std::vector<std::uint32_t> edges;    ///< CSR columns (local ids), ascending per row
+
+    // Scratch, sized to the largest graph seen.
+    std::vector<NodeId> bfs;           ///< BFS queue / discovery order
+    std::vector<std::uint16_t> dist;   ///< hop distance from the center
+    std::vector<std::uint32_t> stamp;  ///< epoch stamps validating dist/g2l
+    std::vector<std::uint32_t> g2l;    ///< global -> local id
+    std::uint32_t epoch = 0;
+
+    /// Builds G_k(v) of `g` into `members`/`offsets`/`edges`.  k >= 1.
+    void compile(const Graph& g, NodeId v, std::size_t k);
+
+    /// Local id of `u`; valid only for members of the last compile.
+    [[nodiscard]] std::uint32_t local_of(NodeId u) const noexcept { return g2l[u]; }
+
+    /// Local neighbor row of local node `i`.
+    [[nodiscard]] std::span<const std::uint32_t> row(std::uint32_t i) const noexcept {
+        return {edges.data() + offsets[i], edges.data() + offsets[i + 1]};
+    }
+
+    /// Heap bytes held by the builder (capacities, not sizes).
+    [[nodiscard]] std::size_t bytes() const noexcept;
+};
+
 /// Local topology per Definition 2.
 ///
 /// The returned graph has the same node-id space as `g`; nodes outside
@@ -51,9 +89,9 @@ struct LocalTopology {
     /// "not computed" (hand-built topologies); consumers fall back to
     /// scanning `visible`.
     std::vector<NodeId> members;
-    /// One-time dense-id CSR (see CompactTopology).  Only long-lived
-    /// topologies (KnowledgeBase entries) bother building it; the topology
-    /// must not be mutated afterwards.
+    /// One-time dense-id CSR (see CompactTopology).  `local_topology`
+    /// fills it for k >= 1; other topologies get it from
+    /// `compile_topology`.  The topology must not be mutated afterwards.
     CompactTopology compact;
     /// Set by the hello layer when neighbor-liveness aging removed entries
     /// from this view: decisions taken against it are "stale-view
@@ -67,11 +105,14 @@ struct LocalTopology {
 void populate_members(LocalTopology& topo);
 
 /// Builds `topo.compact` (populating `members` first if needed).  No-op
-/// when already built.
+/// when already built — as it is for every k >= 1 `local_topology`, so
+/// this only does work for global, hello-built or hand-built topologies.
 void compile_topology(LocalTopology& topo);
 
 /// Extracts G_k(v).  `k == 0` is interpreted as *global* information (the
 /// whole graph is visible); the paper's sweeps use k ∈ {2,3,4,5, global}.
+/// For k >= 1 the view comes from a thread-local `KHopViewBuilder`, with
+/// `members` and `compact` filled; safe to call from many threads.
 [[nodiscard]] LocalTopology local_topology(const Graph& g, NodeId v, std::size_t k);
 
 }  // namespace adhoc

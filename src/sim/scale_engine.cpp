@@ -11,8 +11,7 @@
 #include <thread>
 
 #include "core/coverage.hpp"
-#include "core/view.hpp"
-#include "core/view_cache.hpp"
+#include "graph/khop.hpp"
 
 namespace adhoc {
 
@@ -106,11 +105,12 @@ inline constexpr std::uint64_t kDigestBasis = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
 inline constexpr std::uint32_t kNoRank = 0xffffffffu;
 
-/// kAuto view-mode threshold.  A standing ViewCache stores each node's
-/// LocalTopology over the *full* id space (visibility mask + subgraph), so
-/// cached memory grows ~n^2; past ~10^3 nodes per-decision scratch compiles
-/// are the only thing that fits.
-inline constexpr std::size_t kCachedViewAutoLimit = 1024;
+/// Minimum events in a window before it fans out to the worker crew.
+/// Workers are spun up lazily: a window whose event count cannot amortize
+/// a barrier rendezvous runs inline on the calling thread instead.  Both
+/// paths compute the identical result, so the adaptive choice never shows
+/// in counts or digests.
+inline constexpr std::size_t kParallelWindow = 4096;
 
 // ---- faulted windowed replay ------------------------------------------
 
@@ -192,24 +192,12 @@ ScaleEngine::ScaleEngine(const Graph& graph, ScaleConfig config)
 
     if (config_.policy == ScalePolicy::kGenericCoverage) {
         validate_generic_config();
-        const bool cached =
-            config_.view_mode == ScaleViewMode::kCached ||
-            (config_.view_mode == ScaleViewMode::kAuto && n <= kCachedViewAutoLimit);
-        if (cached) {
-            cache_ = std::make_unique<ViewCache>(graph, config_.generic.hops);
-            graph_ = &cache_->graph();  // flaps mutate the cache's copy
-        }
         keys_ = PriorityKeys(*graph_, config_.generic.priority);
         tx_rank_.assign(n, kNoRank);
         best_key_.assign(n, kNoKey);
         chain_.assign(n * chain_stride(), kInvalidNode);
         chain_len_.assign(n, 0);
         scratch_.resize(config_.wheels);
-        if (cache_) {
-            for (WheelScratch& ws : scratch_) {
-                ws.status_row.assign(n, NodeStatus::kUnvisited);
-            }
-        }
     }
 }
 
@@ -220,22 +208,14 @@ void ScaleEngine::flap(NodeId u, NodeId v, bool add) {
     if (u >= n || v >= n || u == v) {
         throw std::invalid_argument("ScaleEngine edge flap: invalid endpoints");
     }
-    if (cache_) {
-        if (add) {
-            cache_->add_edge(u, v);
-        } else {
-            cache_->remove_edge(u, v);
-        }
+    if (!churn_graph_) {
+        churn_graph_.emplace(*graph_);  // copy-on-first-flap
+        graph_ = &*churn_graph_;
+    }
+    if (add) {
+        churn_graph_->add_edge(u, v);
     } else {
-        if (!churn_graph_) {
-            churn_graph_.emplace(*graph_);  // copy-on-first-flap
-            graph_ = &*churn_graph_;
-        }
-        if (add) {
-            churn_graph_->add_edge(u, v);
-        } else {
-            churn_graph_->remove_edge(u, v);
-        }
+        churn_graph_->remove_edge(u, v);
     }
     keys_stale_ = true;  // degree/NCR keys follow the topology
 }
@@ -307,114 +287,46 @@ std::uint64_t ScaleEngine::receipt_key(NodeId sender, NodeId v) const noexcept {
     return (std::uint64_t{tx_rank_[sender]} << 32) | idx;
 }
 
-void ScaleEngine::compile_scratch_view(WheelScratch& ws, NodeId v) {
-    // Truncated BFS reproducing Definition 2 (khop.cpp) straight into CSR
-    // form: members are every node within k hops, and link (a, b) is
-    // visible iff min(dist(a), dist(b)) <= k - 1 (both ends being members
-    // bounds the max at k already).  Epoch stamps make dist/g2l valid
-    // without an O(n) clear per decision.
-    const Graph& g = *graph_;
-    const std::size_t n = g.node_count();
-    if (ws.stamp.size() < n) {
-        ws.stamp.resize(n, 0);
-        ws.dist.resize(n);
-        ws.g2l.resize(n);
-    }
-    if (++ws.epoch == 0) {  // wrap: invalidate everything once
-        std::fill(ws.stamp.begin(), ws.stamp.end(), 0);
-        ws.epoch = 1;
-    }
-    const std::size_t k = config_.generic.hops;
-    ws.bfs.clear();
-    ws.bfs.push_back(v);
-    ws.stamp[v] = ws.epoch;
-    ws.dist[v] = 0;
-    for (std::size_t head = 0; head < ws.bfs.size(); ++head) {
-        const NodeId x = ws.bfs[head];
-        if (ws.dist[x] == k) continue;
-        for (NodeId y : g.neighbors(x)) {
-            if (ws.stamp[y] == ws.epoch) continue;
-            ws.stamp[y] = ws.epoch;
-            ws.dist[y] = static_cast<std::uint16_t>(ws.dist[x] + 1);
-            ws.bfs.push_back(y);
-        }
-    }
-    ws.members.assign(ws.bfs.begin(), ws.bfs.end());
-    std::sort(ws.members.begin(), ws.members.end());
-    const auto m = static_cast<std::uint32_t>(ws.members.size());
-    for (std::uint32_t i = 0; i < m; ++i) ws.g2l[ws.members[i]] = i;
-    ws.offsets.resize(m + 1);
-    ws.edges.clear();
-    const std::size_t interior = k - 1;
-    for (std::uint32_t i = 0; i < m; ++i) {
-        ws.offsets[i] = static_cast<std::uint32_t>(ws.edges.size());
-        const NodeId a = ws.members[i];
-        const bool a_interior = ws.dist[a] <= interior;
-        for (NodeId b : g.neighbors(a)) {
-            if (ws.stamp[b] != ws.epoch) continue;       // outside the ball
-            if (!a_interior && ws.dist[b] > interior) continue;  // k-to-k link
-            ws.edges.push_back(ws.g2l[b]);
-        }
-    }
-    ws.offsets[m] = static_cast<std::uint32_t>(ws.edges.size());
-}
-
-bool ScaleEngine::decide_generic(WheelScratch& ws, NodeId v, NodeId u) {
+bool ScaleEngine::decide(WheelScratch& ws, NodeId v, NodeId sender,
+                         std::span<const NodeId> chain) {
     const GenericConfig& gc = config_.generic;
     // Decision-time visited set.  Static: empty (the static forward set is
     // computed over all-unvisited views).  First-receipt: exactly what the
-    // first received packet carries — the sender's outgoing chain (which
-    // ends with the sender itself when history >= 1).
+    // first received packet carries — its history chain (which ends with
+    // the sender itself when history >= 1), or the bare sender without one.
     ws.visited.clear();
     if (gc.timing == Timing::kFirstReceipt) {
-        if (const std::size_t h = gc.history; h > 0) {
-            const NodeId* chain = chain_.data() + std::size_t{u} * h;
-            ws.visited.assign(chain, chain + chain_len_[u]);
+        if (!chain.empty()) {
+            ws.visited.assign(chain.begin(), chain.end());
         } else {
-            ws.visited.push_back(u);
+            ws.visited.push_back(sender);
         }
     }
-    return decide_with_visited(ws, v);
-}
 
-bool ScaleEngine::decide_with_visited(WheelScratch& ws, NodeId v) {
-    const GenericConfig& gc = config_.generic;
-    bool covered;
-    if (cache_) {
-        const LocalTopology& topo = cache_->compiled_view(v);
-        for (NodeId x : topo.members) ws.status_row[x] = NodeStatus::kUnvisited;
-        for (NodeId x : ws.visited) {
-            if (topo.visible[x]) ws.status_row[x] = NodeStatus::kVisited;
-        }
-        const View view(&topo, &ws.status_row, &keys_);
-        covered = coverage_condition_holds(view, v, gc.coverage);
-    } else {
-        compile_scratch_view(ws, v);
-        LocalViewScratch& s = LocalViewScratch::tls();
-        const auto m = static_cast<std::uint32_t>(ws.members.size());
-        s.compact.size = m;
-        s.compact.members = ws.members;
-        s.compact.offsets = ws.offsets;
-        s.compact.edges = ws.edges;
-        s.compact.priority.resize(m);
-        s.compact.status.resize(m);
-        for (std::uint32_t i = 0; i < m; ++i) {
-            const NodeId x = ws.members[i];
-            NodeStatus st = NodeStatus::kUnvisited;
-            for (NodeId y : ws.visited) {
-                if (y == x) {
-                    st = NodeStatus::kVisited;
-                    break;
-                }
+    KHopViewBuilder& b = ws.view;
+    b.compile(*graph_, v, gc.hops);
+    LocalViewScratch& s = LocalViewScratch::tls();
+    const auto m = static_cast<std::uint32_t>(b.members.size());
+    s.compact.size = m;
+    s.compact.members = b.members;
+    s.compact.offsets = b.offsets;
+    s.compact.edges = b.edges;
+    s.compact.priority.resize(m);
+    s.compact.status.resize(m);
+    for (std::uint32_t i = 0; i < m; ++i) {
+        const NodeId x = b.members[i];
+        NodeStatus st = NodeStatus::kUnvisited;
+        for (NodeId y : ws.visited) {
+            if (y == x) {
+                st = NodeStatus::kVisited;
+                break;
             }
-            s.compact.status[i] = st;
-            s.compact.priority[i] = keys_.evaluate(x, st);
         }
-        const std::uint32_t lv = ws.g2l[v];
-        const Priority pv = keys_.evaluate(v, NodeStatus::kUnvisited);
-        covered = evaluate_coverage_compiled(s, lv, pv, gc.coverage).covered;
+        s.compact.status[i] = st;
+        s.compact.priority[i] = keys_.evaluate(x, st);
     }
-    return !covered;
+    const Priority pv = keys_.evaluate(v, NodeStatus::kUnvisited);
+    return !evaluate_coverage_compiled(s, b.local_of(v), pv, gc.coverage).covered;
 }
 
 void ScaleEngine::scan_wheel_generic(std::size_t w) {
@@ -447,7 +359,9 @@ void ScaleEngine::scan_wheel_generic(std::size_t w) {
     for (NodeId v : ws.fresh) {
         received_[v] = 1;
         const NodeId u = first_sender_[v];
-        if (!decide_generic(ws, v, u)) continue;
+        const std::span<const NodeId> chain(chain_.data() + std::size_t{u} * h,
+                                            chain_len_[u]);
+        if (!decide(ws, v, u, chain)) continue;
         forwarded_[v] = 1;
         if (h > 0) {
             // Outgoing chain: the last min(len(u), h-1) of the sender's
@@ -482,10 +396,6 @@ ScaleResult ScaleEngine::run_generic(NodeId source) {
         keys_ = PriorityKeys(*graph_, config_.generic.priority);
         keys_stale_ = false;
     }
-    // One serial recompile sweep, then the parallel phases read the cache
-    // through the const, assertion-guarded accessor — no lazy mutation
-    // races inside a window.
-    if (cache_) cache_->prepare_all();
 
     ScaleResult result;
     if (n == 0) return result;
@@ -508,7 +418,6 @@ ScaleResult ScaleEngine::run_generic(NodeId source) {
     }
 
     std::optional<PhaseCrew> crew;
-    constexpr std::size_t kParallelWindow = 4096;
     // All of a window's deliveries share one receive instant, accumulated
     // by repeated addition exactly as the Simulator accumulates now_ +
     // delay — bit-equality of times (hence digests) is preserved.
@@ -714,20 +623,8 @@ void ScaleEngine::resend_resilient(NodeId v, double now) {
     fanout_resilient(v, false, pid, kInvalidNode, now + config_.delay);
 }
 
-bool ScaleEngine::decide_resilient(WheelScratch& ws, NodeId v, const RPacket& pkt) {
-    // Same decision-time visited set as decide_generic, but from the
-    // per-packet chain pool: under recovery a first receipt may be a repair
-    // whose chain depth differs from the data plane's.
-    ws.visited.clear();
-    if (config_.generic.timing == Timing::kFirstReceipt) {
-        if (pkt.chain_len > 0) {
-            const NodeId* chain = r_chain_.data() + pkt.chain_off;
-            ws.visited.assign(chain, chain + pkt.chain_len);
-        } else {
-            ws.visited.push_back(pkt.sender);
-        }
-    }
-    return decide_with_visited(ws, v);
+std::span<const NodeId> ScaleEngine::packet_chain(const RPacket& pkt) const noexcept {
+    return {r_chain_.data() + pkt.chain_off, pkt.chain_len};
 }
 
 ScaleResult ScaleEngine::run_resilient(NodeId source) {
@@ -764,7 +661,6 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
             keys_ = PriorityKeys(*graph_, config_.generic.priority);
             keys_stale_ = false;
         }
-        if (cache_) cache_->prepare_all();
         pre_stamp_.assign(n, 0);
         pre_pkt_.resize(n);
         pre_dec_.resize(n);
@@ -791,7 +687,6 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
     }
 
     std::optional<PhaseCrew> crew;
-    constexpr std::size_t kParallelWindow = 4096;
     double completion = 0.0;
 
     for (std::size_t w = 0; r_pending_ > 0 && w < cal_.size(); ++w) {
@@ -836,7 +731,6 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
         if (generic && keys_stale_) {  // churn_updates_views rebuilt topology
             keys_ = PriorityKeys(*graph_, config_.generic.priority);
             keys_stale_ = false;
-            if (cache_) cache_->prepare_all();
         }
 
         // Parallel decision pre-scan: coverage decisions are pure functions
@@ -869,8 +763,8 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
             crew->run_phase([&](std::size_t wi) {
                 WheelScratch& ws = scratch_[wi];
                 for (NodeId v : ws.fresh) {
-                    pre_dec_[v] =
-                        decide_resilient(ws, v, packets_[pre_pkt_[v]]) ? 1 : 0;
+                    const RPacket& pkt = packets_[pre_pkt_[v]];
+                    pre_dec_[v] = decide(ws, v, pkt.sender, packet_chain(pkt)) ? 1 : 0;
                 }
             });
         }
@@ -891,7 +785,6 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
                         if (generic) {
                             keys_ = PriorityKeys(*graph_, config_.generic.priority);
                             keys_stale_ = false;
-                            if (cache_) cache_->prepare_all();
                         }
                     }
                     break;
@@ -922,8 +815,9 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
                     } else if (prescan && pre_stamp_[v] == pre_epoch_) {
                         forward = pre_dec_[v] != 0;
                     } else {
-                        forward = decide_resilient(scratch_[wheel_of(v)], v,
-                                                   packets_[e.payload]);
+                        const RPacket& pkt = packets_[e.payload];
+                        forward = decide(scratch_[wheel_of(v)], v, pkt.sender,
+                                         packet_chain(pkt));
                     }
                     if (forward) transmit_resilient(v, e.time);
                     break;
@@ -1017,6 +911,10 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
 }
 
 ScaleResult ScaleEngine::run(NodeId source) {
+    if (const std::size_t n = graph_->node_count(); n > 0 && source >= n) {
+        throw std::invalid_argument("ScaleEngine::run: source " + std::to_string(source) +
+                                    " out of range for " + std::to_string(n) + " nodes");
+    }
     // Any attached plan (even an empty one) or armed recovery layer routes
     // through the serial windowed replay — the reference machine's
     // broadcast_resilient always runs with an active fault session, and
@@ -1047,12 +945,7 @@ ScaleResult ScaleEngine::run(NodeId source) {
         }
     }
 
-    // Workers are spun up lazily: a window whose event count cannot amortize
-    // a barrier rendezvous runs inline on the calling thread instead.  Both
-    // paths compute the identical result, so the adaptive choice never shows
-    // in counts or digests.
     std::optional<PhaseCrew> crew;
-    constexpr std::size_t kParallelWindow = 4096;
 
     while (true) {
         std::size_t queued = 0;
@@ -1099,15 +992,7 @@ std::size_t ScaleEngine::state_bytes() const noexcept {
     for (const WheelScratch& ws : scratch_) {
         bytes += ws.fresh.capacity() * sizeof(NodeId) +
                  ws.forwarders.capacity() * sizeof(NodeId) +
-                 ws.visited.capacity() * sizeof(NodeId) +
-                 ws.bfs.capacity() * sizeof(NodeId) +
-                 ws.dist.capacity() * sizeof(std::uint16_t) +
-                 ws.stamp.capacity() * sizeof(std::uint32_t) +
-                 ws.g2l.capacity() * sizeof(std::uint32_t) +
-                 ws.members.capacity() * sizeof(NodeId) +
-                 ws.offsets.capacity() * sizeof(std::uint32_t) +
-                 ws.edges.capacity() * sizeof(std::uint32_t) +
-                 ws.status_row.capacity() * sizeof(NodeStatus);
+                 ws.visited.capacity() * sizeof(NodeId) + ws.view.bytes();
     }
     for (const std::vector<REvent>& bucket : cal_) {
         bytes += bucket.capacity() * sizeof(REvent);

@@ -33,20 +33,21 @@
 /// node, the minimum (sender transmission ordinal, adjacency index) receipt
 /// key — the exact (time, seq) pop order of the reference Simulator — and
 /// evaluates the coverage kernel of src/core/coverage.cpp over a compact
-/// local view compiled into per-wheel scratch (truncated BFS reproducing
-/// Definition 2, zero allocations in steady state).  A short serial step
-/// then ranks the window's new forwarders in receipt-key order, folds the
-/// order digest, and stages their fanout.  Result: forward set, counts,
+/// local view compiled into per-wheel scratch by `KHopViewBuilder` (the
+/// Definition-2 construction in src/graph/khop.hpp, zero allocations in
+/// steady state).  A short serial step then ranks the window's new
+/// forwarders in receipt-key order, folds the order digest, and stages
+/// their fanout.  Result: forward set, counts,
 /// completion time and transmission-order digest byte-identical to the
 /// serial `Simulator` running `GenericAgent` with the same `GenericConfig`
 /// (tests/scale_engine_test.cpp proves it across seeds × wheels × jobs, and
 /// the fuzzer's scale oracle keeps proving it continuously).
 ///
-/// Views come from two interchangeable backends: compiled on the fly into
-/// per-wheel scratch (`kScratch`, O(ball edges) per decision, no standing
-/// memory), or served by a `ViewCache` (`kCached`) that survives topology
-/// churn with dirty-ball invalidation — `add_edge`/`remove_edge` between
-/// runs recompile only the views inside the flapped link's k-hop ball.
+/// Every decision compiles its view from the current graph, O(ball edges)
+/// with no standing per-node memory, so topology churn (`add_edge`/
+/// `remove_edge` between runs, or `churn_updates_views` inside a faulted
+/// run) needs no invalidation: the next decision simply reads the flapped
+/// graph.
 ///
 /// The phase parallelizes over wheels with any number of worker threads;
 /// the result (counts, completion time, and the order digest) is
@@ -75,8 +76,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/priority.hpp"
@@ -84,12 +85,11 @@
 #include "faults/fault_session.hpp"
 #include "faults/recovery.hpp"
 #include "graph/graph.hpp"
+#include "graph/khop.hpp"
 #include "sim/generic_config.hpp"
 #include "sim/trace.hpp"
 
 namespace adhoc {
-
-class ViewCache;
 
 /// Forwarding rule applied on first receipt.
 enum class ScalePolicy {
@@ -101,11 +101,12 @@ enum class ScalePolicy {
     kGenericCoverage,
 };
 
-/// Where `kGenericCoverage` gets its Definition-2 local views.
+/// Source-compatibility shim with a single value.  The engine has one view
+/// backend (a per-decision `KHopViewBuilder` compile into per-wheel
+/// scratch) and never reads `ScaleConfig::view_mode`; the enum and field
+/// stay only so callers that still assign `kScratch` keep compiling.
 enum class ScaleViewMode {
-    kAuto,     ///< kCached for small graphs, kScratch beyond
-    kCached,   ///< ViewCache: standing views, incremental churn invalidation
-    kScratch,  ///< per-decision truncated-BFS compile into per-wheel scratch
+    kScratch,
 };
 
 struct ScaleConfig {
@@ -119,16 +120,15 @@ struct ScaleConfig {
     /// other than self-pruning (need designation pullback events), and
     /// hops == 0 (global views cost O(n) per decision — use Simulator).
     GenericConfig generic;
-    ScaleViewMode view_mode = ScaleViewMode::kAuto;
+    ScaleViewMode view_mode = ScaleViewMode::kScratch;  ///< never read (see enum)
     /// Faulted runs only: when true, link churn events (kLinkDown/kLinkUp)
-    /// additionally drive `add_edge`/`remove_edge` through the engine's
-    /// view backend — under kCached views the ViewCache's dirty-ball
-    /// invalidation recompiles exactly the flapped link's k-hop ball at
-    /// the window boundary, so coverage decisions track the churned
-    /// topology.  This is a *realism* mode: the reference Simulator keeps
-    /// its views static under churn (links are only gated), so the
-    /// differential byte-for-byte contract holds only with the default
-    /// `false`.
+    /// additionally flap the engine's own copy of the graph
+    /// (`add_edge`/`remove_edge`), so later coverage decisions — which
+    /// compile their views from the current graph — and fanouts track the
+    /// churned topology.  This is a *realism* mode: the reference
+    /// Simulator keeps its views static under churn (links are only
+    /// gated), so the differential byte-for-byte contract holds only with
+    /// the default `false`.
     bool churn_updates_views = false;
 };
 
@@ -181,7 +181,8 @@ class ScaleEngine {
     ScaleEngine& operator=(const ScaleEngine&) = delete;
 
     /// Runs one broadcast from `source` to quiescence.  Reusable: state is
-    /// reset on entry.
+    /// reset on entry.  Throws std::invalid_argument when `source` is not
+    /// a node of a non-empty graph; an empty graph yields the zero result.
     [[nodiscard]] ScaleResult run(NodeId source);
 
     [[nodiscard]] const ScaleConfig& config() const noexcept { return config_; }
@@ -191,10 +192,9 @@ class ScaleEngine {
     [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
 
     /// Applies a topology flap between runs (adding an existing edge /
-    /// removing an absent one is a no-op).  Under kCached views this is
-    /// the incremental-maintenance path: only views whose k-hop ball
-    /// touches the link are recompiled (lazily, before the next run).
-    /// Must not be called while `run` is executing.
+    /// removing an absent one is a no-op).  The first flap copies the
+    /// graph; later decisions compile their views from the copy.  Must not
+    /// be called while `run` is executing.
     void add_edge(NodeId u, NodeId v);
     void remove_edge(NodeId u, NodeId v);
 
@@ -225,14 +225,9 @@ class ScaleEngine {
     }
     [[nodiscard]] const std::vector<char>& received_mask() const noexcept { return received_; }
 
-    /// True iff generic decisions read a standing ViewCache (kCached /
-    /// small-n kAuto); the cache (for churn instrumentation) or nullptr.
-    [[nodiscard]] bool cached_views() const noexcept { return cache_ != nullptr; }
-    [[nodiscard]] const ViewCache* view_cache() const noexcept { return cache_.get(); }
-
-    /// Engine-owned working memory (per-node state plus staging-bucket
-    /// high-water marks), for the bench's bytes/node metric.  Standing
-    /// ViewCache views (kCached mode, small n) are not counted.
+    /// Engine-owned working memory (per-node state, staging-bucket and
+    /// faulted-plane high-water marks, per-wheel view scratch), for the
+    /// bench's bytes/node metric.  A churned graph copy is not counted.
     [[nodiscard]] std::size_t state_bytes() const noexcept;
 
   private:
@@ -243,24 +238,13 @@ class ScaleEngine {
     };
 
     /// Per-wheel working set of the generic-coverage phase: window-local
-    /// first-receipt bookkeeping plus the compact-view compile buffers
-    /// (scratch mode) / the borrowed status row (cached mode).  All
+    /// first-receipt bookkeeping plus the view compile buffers.  All
     /// buffers only grow — zero allocations per decision in steady state.
     struct WheelScratch {
         std::vector<NodeId> fresh;       ///< first receipts found this window
         std::vector<NodeId> forwarders;  ///< subset of fresh that forwards
         std::vector<NodeId> visited;     ///< decision-time visited set (<= h+1)
-        // Scratch-mode view compile: truncated BFS + CSR over local ids.
-        std::vector<NodeId> bfs;           ///< BFS queue / discovery order
-        std::vector<std::uint16_t> dist;   ///< hop distance from the center
-        std::vector<std::uint32_t> stamp;  ///< epoch stamps validating dist/g2l
-        std::vector<std::uint32_t> g2l;    ///< global -> local id
-        std::uint32_t epoch = 0;
-        std::vector<NodeId> members;          ///< ascending global ids
-        std::vector<std::uint32_t> offsets;   ///< CSR rows, size m+1
-        std::vector<std::uint32_t> edges;     ///< CSR columns (local ids)
-        // Cached-mode status row (size n; each view rewrites its members).
-        std::vector<NodeStatus> status_row;
+        KHopViewBuilder view;            ///< Definition-2 CSR of the decider
     };
 
     /// One replayed queue entry of the faulted plane.  `payload` indexes
@@ -295,8 +279,11 @@ class ScaleEngine {
     [[nodiscard]] ScaleResult run_generic(NodeId source);
     void scan_wheel_generic(std::size_t w);
     [[nodiscard]] std::uint64_t receipt_key(NodeId sender, NodeId v) const noexcept;
-    [[nodiscard]] bool decide_generic(WheelScratch& ws, NodeId v, NodeId u);
-    void compile_scratch_view(WheelScratch& ws, NodeId v);
+    /// The coverage decision shared by the fault-free and faulted planes:
+    /// true iff `v`, whose first received packet came from `sender`
+    /// carrying history `chain`, forwards.
+    [[nodiscard]] bool decide(WheelScratch& ws, NodeId v, NodeId sender,
+                              std::span<const NodeId> chain);
     /// Outgoing history chain entries piggybacked per transmission (0 when
     /// the timing is static — children ignore broadcast state anyway).
     [[nodiscard]] std::size_t chain_stride() const noexcept;
@@ -318,16 +305,10 @@ class ScaleEngine {
     /// Appends a packet (sender `v`, chain = last `history` of the first
     /// received chain + v, FR timing only) and returns its table index.
     [[nodiscard]] std::uint32_t make_packet(NodeId v, std::size_t history);
-    [[nodiscard]] bool decide_resilient(WheelScratch& ws, NodeId v,
-                                        const RPacket& pkt);
+    [[nodiscard]] std::span<const NodeId> packet_chain(const RPacket& pkt) const noexcept;
     [[nodiscard]] bool recovery_on() const noexcept {
         return recovery_.has_value() && recovery_->enabled;
     }
-
-    /// Decision body shared by the fault-free and faulted planes:
-    /// evaluates the coverage condition for `v` with `ws.visited` already
-    /// holding the decision-time visited set.
-    [[nodiscard]] bool decide_with_visited(WheelScratch& ws, NodeId v);
 
     const Graph* graph_;
     ScaleConfig config_;
@@ -357,8 +338,7 @@ class ScaleEngine {
     // ---- kGenericCoverage state --------------------------------------
     PriorityKeys keys_;       ///< static priority keys of the current graph
     bool keys_stale_ = false;  ///< a flap changed degrees/ncr: rebuild lazily
-    std::unique_ptr<ViewCache> cache_;  ///< standing views (kCached), or null
-    std::optional<Graph> churn_graph_;  ///< scratch-mode mutable copy (lazy)
+    std::optional<Graph> churn_graph_;  ///< mutable copy, made on the first flap
     std::vector<std::uint32_t> tx_rank_;   ///< global transmission ordinal
     std::vector<std::uint64_t> best_key_;  ///< min receipt key this window
     std::vector<NodeId> chain_;            ///< outgoing history, stride h

@@ -8,7 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "graph/traversal.hpp"
+#include "graph/unit_disk.hpp"
 
 namespace adhoc {
 namespace {
@@ -117,6 +125,156 @@ TEST(KHop, CenterIsAlwaysVisible) {
         const LocalTopology t = local_topology(g, v, 1);
         EXPECT_TRUE(t.visible[v]);
         EXPECT_EQ(t.center, v);
+    }
+}
+
+// ---- the Definition-2 builder against a whole-graph oracle ----------
+
+/// Definition 2 straight from the text: a whole-graph BFS, then every edge
+/// (a, b) with min(dist) <= k-1 and max(dist) <= k, on the full id space.
+/// `compile_topology` turns it into the CSR the builder must reproduce.
+LocalTopology oracle_view(const Graph& g, NodeId v, std::size_t k) {
+    const auto dist = bfs_distances(g, v);
+    LocalTopology t;
+    t.center = v;
+    t.hops = k;
+    t.visible.assign(g.node_count(), 0);
+    t.graph = Graph(g.node_count());
+    for (NodeId u = 0; u < g.node_count(); ++u) {
+        if (dist[u] != kUnreachable && dist[u] <= k) {
+            t.visible[u] = 1;
+            t.members.push_back(u);
+        }
+    }
+    for (const Edge& e : g.edges()) {
+        const std::size_t da = dist[e.a];
+        const std::size_t db = dist[e.b];
+        if (da == kUnreachable || db == kUnreachable) continue;
+        if (std::min(da, db) <= k - 1 && std::max(da, db) <= k) t.graph.add_edge(e.a, e.b);
+    }
+    compile_topology(t);
+    return t;
+}
+
+void expect_builder_matches(const KHopViewBuilder& b, const LocalTopology& want,
+                            const std::string& where) {
+    ASSERT_EQ(b.members, want.members) << where;
+    ASSERT_EQ(b.offsets, want.compact.offsets) << where;
+    ASSERT_EQ(b.edges, want.compact.edges) << where;
+    for (std::uint32_t i = 0; i < b.members.size(); ++i) {
+        ASSERT_EQ(b.local_of(b.members[i]), i) << where;
+    }
+}
+
+void expect_same_topology(const LocalTopology& got, const LocalTopology& want,
+                          const std::string& where) {
+    ASSERT_EQ(got.center, want.center) << where;
+    ASSERT_EQ(got.hops, want.hops) << where;
+    ASSERT_EQ(got.visible, want.visible) << where;
+    ASSERT_EQ(got.members, want.members) << where;
+    ASSERT_EQ(got.compact.offsets, want.compact.offsets) << where;
+    ASSERT_EQ(got.compact.edges, want.compact.edges) << where;
+    ASSERT_TRUE(got.graph == want.graph) << where;
+}
+
+/// G(n, p) over a spanning tree (so balls are not trivially tiny).
+Graph random_gnp(std::size_t n, double p, std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::bernoulli_distribution coin(p);
+    Graph g(n);
+    for (NodeId v = 1; v < n; ++v) g.add_edge(v, static_cast<NodeId>(rng() % v));
+    for (NodeId a = 0; a < n; ++a) {
+        for (NodeId b = a + 1; b < n; ++b) {
+            if (coin(rng)) g.add_edge(a, b);
+        }
+    }
+    return g;
+}
+
+/// Flaps random links of `g` and checks one reused builder (and
+/// `local_topology`) against the oracle after every flap: a spot check per
+/// step, every view at a few checkpoints.
+void churn_and_check(Graph g, const std::vector<Edge>& pool, std::size_t k,
+                     std::uint64_t seed, const std::string& name) {
+    KHopViewBuilder builder;
+    std::mt19937_64 rng(seed);
+    const std::size_t n = g.node_count();
+    for (std::size_t step = 0; step < 90; ++step) {
+        const Edge& e = pool[rng() % pool.size()];
+        if (!g.remove_edge(e.a, e.b)) g.add_edge(e.a, e.b);
+        const std::string where =
+            name + " k=" + std::to_string(k) + " step " + std::to_string(step);
+        if (step % 30 == 29) {
+            for (NodeId v = 0; v < n; ++v) {
+                builder.compile(g, v, k);
+                expect_builder_matches(builder, oracle_view(g, v, k),
+                                       where + " view " + std::to_string(v));
+            }
+        } else {
+            const auto v = static_cast<NodeId>(rng() % n);
+            const LocalTopology want = oracle_view(g, v, k);
+            builder.compile(g, v, k);
+            expect_builder_matches(builder, want, where + " spot " + std::to_string(v));
+            expect_same_topology(local_topology(g, v, k), want,
+                                 where + " local_topology " + std::to_string(v));
+        }
+    }
+}
+
+TEST(KHopViewBuilder, MatchesDefinitionTwoOracleOnUnitDiskUnderChurn) {
+    UnitDiskParams params;
+    params.node_count = 80;
+    params.average_degree = 6.0;
+    Rng gen(0x5eed);
+    const UnitDiskNetwork net = generate_network_checked(params, gen);
+    // Range-respecting flaps: existing links go down and come back.
+    std::vector<Edge> pool = net.graph.edges();
+    ASSERT_FALSE(pool.empty());
+    for (const std::size_t k : {1u, 2u, 3u}) {
+        churn_and_check(net.graph, pool, k, 0x9e09e0 + k, "unit-disk");
+    }
+}
+
+TEST(KHopViewBuilder, MatchesDefinitionTwoOracleOnGnpUnderChurn) {
+    const std::size_t n = 60;
+    for (const std::size_t k : {1u, 2u, 3u}) {
+        const Graph g = random_gnp(n, 0.05, 0xc0ffee00u + k);
+        std::mt19937_64 rng(0xdecade00u + k);
+        std::vector<Edge> pool;  // arbitrary pairs: links appear and vanish
+        while (pool.size() < 3 * n) {
+            const auto a = static_cast<NodeId>(rng() % n);
+            const auto b = static_cast<NodeId>(rng() % n);
+            if (a != b) pool.push_back(canonical(Edge{a, b}));
+        }
+        churn_and_check(g, pool, k, 0xdecade00u + k, "gnp");
+    }
+}
+
+TEST(KHopViewBuilder, SurvivesEpochWraparound) {
+    const Graph g = random_gnp(50, 0.08, 0xe90c);
+    KHopViewBuilder builder;
+    builder.compile(g, 0, 3);  // leaves stale stamps behind
+    // The next compile wraps the epoch to 0: stale stamps must neither
+    // match the wrapped epoch nor the restarted one.
+    builder.epoch = std::numeric_limits<std::uint32_t>::max();
+    for (const NodeId v : {NodeId{7}, NodeId{31}}) {
+        builder.compile(g, v, 2);
+        expect_builder_matches(builder, oracle_view(g, v, 2),
+                               "after wrap, view " + std::to_string(v));
+    }
+}
+
+TEST(KHop, LocalTopologyCompactEqualsCompileTopology) {
+    const Graph g = random_gnp(40, 0.1, 0xc0de);
+    for (const std::size_t k : {1u, 2u, 3u}) {
+        for (NodeId v = 0; v < g.node_count(); v += 7) {
+            const LocalTopology t = local_topology(g, v, k);
+            LocalTopology recompiled = t;
+            recompiled.compact = {};
+            compile_topology(recompiled);
+            EXPECT_EQ(t.compact.offsets, recompiled.compact.offsets) << k << " " << v;
+            EXPECT_EQ(t.compact.edges, recompiled.compact.edges) << k << " " << v;
+        }
     }
 }
 

@@ -7,16 +7,16 @@
 /// standard: for every tested (seed × wheels × jobs) point, the forward
 /// set (per-node mask), forward count, completion time and the global
 /// transmission-order digest must be byte-identical to the serial
-/// `Simulator` running `GenericAgent` with the same `GenericConfig` — and
-/// the cached-view backend (ViewCache, incremental churn invalidation)
-/// must agree bit-for-bit with the scratch-compile backend, including
-/// across topology flaps between runs.
+/// `Simulator` running `GenericAgent` with the same `GenericConfig`,
+/// including across topology flaps between runs.
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "algorithms/flooding.hpp"
 #include "algorithms/generic.hpp"
-#include "core/view_cache.hpp"
 #include "graph/unit_disk.hpp"
 #include "sim/scale_engine.hpp"
 
@@ -130,15 +130,52 @@ TEST(ScaleEngine, RejectsDegenerateConfig) {
     EXPECT_THROW(ScaleEngine(g, bad_jobs), std::invalid_argument);
 }
 
+TEST(ScaleEngine, RejectsOutOfRangeSourceOnEveryPath) {
+    Graph g(6);
+    for (NodeId v = 0; v + 1 < 6; ++v) g.add_edge(v, v + 1);
+    ScaleConfig flood;
+    ScaleConfig generic;
+    generic.policy = ScalePolicy::kGenericCoverage;
+    generic.generic = generic_fr_config(2);
+    const faults::FaultPlan plan;  // any attached plan routes to the faulted replay
+
+    for (const bool faulted : {false, true}) {
+        for (const ScaleConfig& cfg : {flood, generic}) {
+            ScaleEngine engine(g, cfg);
+            if (faulted) engine.attach_faults(&plan);
+            for (const NodeId bad : {NodeId{6}, kInvalidNode}) {
+                try {
+                    (void)engine.run(bad);
+                    ADD_FAILURE() << "source " << bad << " accepted";
+                } catch (const std::invalid_argument& e) {
+                    const std::string what = e.what();
+                    EXPECT_NE(what.find(std::to_string(bad)), std::string::npos) << what;
+                    EXPECT_NE(what.find("6 nodes"), std::string::npos) << what;
+                }
+            }
+            // The rejection happens before any state is touched: the engine
+            // still runs a valid broadcast afterwards.
+            EXPECT_TRUE(engine.run(0).full_delivery);
+        }
+    }
+
+    // An empty graph keeps returning the zero result for any source.
+    const Graph empty(0);
+    ScaleEngine engine(empty, flood);
+    const ScaleResult r = engine.run(3);
+    EXPECT_EQ(r.forward_count, 0u);
+    EXPECT_EQ(r.delivered_events, 0u);
+}
+
 // ---- generic coverage differential plane ---------------------------
 
 /// Runs the reference Simulator (serial, event-queue, GenericAgent) and
-/// asserts the engine reproduces it byte-for-byte at one (wheels, jobs,
-/// view_mode) point: forward mask, counts, completion time, and the
-/// transmission-order digest against the trace fold.
+/// asserts the engine reproduces it byte-for-byte at one (wheels, jobs)
+/// point: forward mask, counts, completion time, and the transmission-order
+/// digest against the trace fold.
 void expect_engine_matches_simulator(const Graph& g, NodeId source,
                                      const GenericConfig& gc, std::size_t wheels,
-                                     std::size_t jobs, ScaleViewMode mode) {
+                                     std::size_t jobs) {
     GenericBroadcast reference(gc);
     Rng rng(99);  // the honorable axes never draw from it
     const BroadcastResult ref = reference.broadcast_traced(g, source, rng, MediumConfig{});
@@ -149,13 +186,11 @@ void expect_engine_matches_simulator(const Graph& g, NodeId source,
     cfg.generic = gc;
     cfg.wheels = wheels;
     cfg.jobs = jobs;
-    cfg.view_mode = mode;
     ScaleEngine engine(g, cfg);
     const ScaleResult got = engine.run(source);
 
     const auto tag = ::testing::Message()
-                     << "wheels=" << wheels << " jobs=" << jobs
-                     << " mode=" << static_cast<int>(mode) << " " << gc.summary();
+                     << "wheels=" << wheels << " jobs=" << jobs << " " << gc.summary();
     EXPECT_EQ(engine.forwarded_mask(), ref.transmitted) << tag;
     EXPECT_EQ(engine.received_mask(), ref.received) << tag;
     EXPECT_EQ(got.forward_count, ref.forward_count) << tag;
@@ -175,14 +210,9 @@ TEST(ScaleEngineGeneric, FirstReceiptMatchesSimulatorAcrossSeedsWheelsJobs) {
         const NodeId source = static_cast<NodeId>(seed % net.graph.node_count());
         for (const std::size_t w : wheels) {
             for (const std::size_t j : jobs) {
-                expect_engine_matches_simulator(net.graph, source, gc, w, j,
-                                                ScaleViewMode::kScratch);
+                expect_engine_matches_simulator(net.graph, source, gc, w, j);
             }
         }
-        // Cached backend at one point per seed (the backends are proven
-        // equal exhaustively in CachedAndScratchViewsAgree).
-        expect_engine_matches_simulator(net.graph, source, gc, 4, 2,
-                                        ScaleViewMode::kCached);
     }
 }
 
@@ -191,10 +221,8 @@ TEST(ScaleEngineGeneric, StaticTimingMatchesSimulator) {
     for (const std::uint64_t seed : {0x44dULL, 0x55eULL}) {
         const UnitDiskNetwork net = make_network(150, seed);
         for (const std::size_t w : {1ULL, 5ULL}) {
-            expect_engine_matches_simulator(net.graph, 0, gc, w, 3,
-                                            ScaleViewMode::kScratch);
+            expect_engine_matches_simulator(net.graph, 0, gc, w, 3);
         }
-        expect_engine_matches_simulator(net.graph, 0, gc, 8, 1, ScaleViewMode::kCached);
     }
 }
 
@@ -211,7 +239,7 @@ TEST(ScaleEngineGeneric, KnobVariationsMatchSimulator) {
     GenericConfig strong = generic_fr_config(2);
     strong.coverage.strong = true;
     for (const GenericConfig& gc : {hops3, no_history, long_history, by_id, strong}) {
-        expect_engine_matches_simulator(net.graph, 9, gc, 6, 4, ScaleViewMode::kScratch);
+        expect_engine_matches_simulator(net.graph, 9, gc, 6, 4);
     }
 }
 
@@ -228,7 +256,6 @@ TEST(ScaleEngineGeneric, DigestIndependentOfWheelsAndJobs) {
             cfg.generic = generic_fr_config(2);
             cfg.wheels = w;
             cfg.jobs = j;
-            cfg.view_mode = ScaleViewMode::kScratch;
             ScaleEngine engine(net.graph, cfg);
             const ScaleResult r = engine.run(1);
             if (!have_first) {
@@ -240,82 +267,44 @@ TEST(ScaleEngineGeneric, DigestIndependentOfWheelsAndJobs) {
     }
 }
 
-TEST(ScaleEngineGeneric, CachedAndScratchViewsAgree) {
-    const UnitDiskNetwork net = make_network(200, 0x888);
-    ScaleConfig cached_cfg;
-    cached_cfg.policy = ScalePolicy::kGenericCoverage;
-    cached_cfg.generic = generic_fr_config(2);
-    cached_cfg.wheels = 6;
-    cached_cfg.jobs = 3;
-    cached_cfg.view_mode = ScaleViewMode::kCached;
-    ScaleConfig scratch_cfg = cached_cfg;
-    scratch_cfg.view_mode = ScaleViewMode::kScratch;
-
-    ScaleEngine cached(net.graph, cached_cfg);
-    ScaleEngine scratch(net.graph, scratch_cfg);
-    ASSERT_TRUE(cached.cached_views());
-    ASSERT_FALSE(scratch.cached_views());
-
-    const ScaleResult a = cached.run(2);
-    const ScaleResult b = scratch.run(2);
-    EXPECT_EQ(a.order_digest, b.order_digest);
-    EXPECT_EQ(a.forward_count, b.forward_count);
-    EXPECT_EQ(cached.forwarded_mask(), scratch.forwarded_mask());
-    EXPECT_DOUBLE_EQ(a.completion_time, b.completion_time);
-}
-
-TEST(ScaleEngineGeneric, ChurnedEnginesStayEqualAndCacheStaysIncremental) {
+TEST(ScaleEngineGeneric, ChurnedEnginesMatchSimulatorOnChurnedGraph) {
     const UnitDiskNetwork net = make_network(240, 0x999);
     const std::size_t n = net.graph.node_count();
-    ScaleConfig cached_cfg;
-    cached_cfg.policy = ScalePolicy::kGenericCoverage;
-    cached_cfg.generic = generic_fr_config(2);
-    cached_cfg.wheels = 5;
-    cached_cfg.jobs = 2;
-    cached_cfg.view_mode = ScaleViewMode::kCached;
-    ScaleConfig scratch_cfg = cached_cfg;
-    scratch_cfg.view_mode = ScaleViewMode::kScratch;
+    ScaleConfig cfg;
+    cfg.policy = ScalePolicy::kGenericCoverage;
+    cfg.generic = generic_fr_config(2);
+    cfg.wheels = 5;
+    cfg.jobs = 2;
+    ScaleEngine engine(net.graph, cfg);
 
-    ScaleEngine cached(net.graph, cached_cfg);
-    ScaleEngine scratch(net.graph, scratch_cfg);
-
-    // Interleave runs with link flaps; after every batch both backends —
-    // and a Simulator handed the churned topology — must still agree.
+    // Interleave runs with link flaps; after every batch the engine must
+    // still agree with a Simulator handed the churned topology.
     Rng churn(0xc4u);
     for (int round = 0; round < 4; ++round) {
         for (int f = 0; f < 3; ++f) {
             const NodeId u = static_cast<NodeId>(churn.index(n));
             NodeId v = static_cast<NodeId>(churn.index(n));
             if (u == v) v = (v + 1) % n;
-            if (cached.graph().has_edge(u, v)) {
-                cached.remove_edge(u, v);
-                scratch.remove_edge(u, v);
+            if (engine.graph().has_edge(u, v)) {
+                engine.remove_edge(u, v);
             } else {
-                cached.add_edge(u, v);
-                scratch.add_edge(u, v);
+                engine.add_edge(u, v);
             }
         }
         const NodeId source = static_cast<NodeId>(churn.index(n));
-        const ScaleResult a = cached.run(source);
-        const ScaleResult b = scratch.run(source);
-        EXPECT_EQ(a.order_digest, b.order_digest) << "round " << round;
-        EXPECT_EQ(cached.forwarded_mask(), scratch.forwarded_mask()) << "round " << round;
-        EXPECT_EQ(a.forward_count, b.forward_count) << "round " << round;
-        EXPECT_EQ(a.received_count, b.received_count) << "round " << round;
+        const ScaleResult a = engine.run(source);
 
-        GenericBroadcast reference(cached_cfg.generic);
+        GenericBroadcast reference(cfg.generic);
         Rng rng(1);
         const BroadcastResult ref =
-            reference.broadcast_traced(cached.graph(), source, rng, MediumConfig{});
+            reference.broadcast_traced(engine.graph(), source, rng, MediumConfig{});
         EXPECT_EQ(a.order_digest, reference_transmission_digest(ref.trace))
             << "round " << round;
-        EXPECT_EQ(cached.forwarded_mask(), ref.transmitted) << "round " << round;
+        EXPECT_EQ(engine.forwarded_mask(), ref.transmitted) << "round " << round;
+        EXPECT_EQ(a.forward_count, ref.forward_count) << "round " << round;
+        EXPECT_EQ(a.received_count, ref.received_count) << "round " << round;
     }
-    // The point of the cache: 12 flaps with 2-hop balls must not have
-    // recompiled anywhere near all n views per flap.
-    ASSERT_NE(cached.view_cache(), nullptr);
-    EXPECT_GT(cached.view_cache()->recompile_count(), 0u);
-    EXPECT_LT(cached.view_cache()->recompile_count(), 12u * n);
+    EXPECT_FALSE(engine.graph() == net.graph);  // the flaps landed on a copy
 }
 
 TEST(ScaleEngineGeneric, RejectsUnhonorableGenericKnobs) {
