@@ -1,8 +1,11 @@
 /// \file bench_common.hpp
-/// \brief Shared scaffolding for the figure-reproduction benches.
+/// \brief Shared scaffolding for the figure registry and the robustness
+/// benches.
 ///
-/// Every fig*.cpp binary runs the paper's sweep (n = 20..100, d ∈ {6, 18})
-/// for its algorithm set and prints paper-style tables.  Command line:
+/// bench_campaign's registry runs the paper's sweeps (n = 20..100,
+/// d ∈ {6, 18}) and bespoke report loops and prints paper-style tables;
+/// bench_resilience and bench_saturation share the option parser.
+/// Command line:
 ///   --runs N     cap repetitions per cell (default 200)
 ///   --full       run until the paper's CI rule (90% CI within ±1%) or 2000
 ///   --seed S     change the base seed
@@ -14,12 +17,14 @@
 ///   --csv        additionally emit CSV blocks
 ///   --gnuplot P  write gnuplot-ready data files P_<panel>.dat
 ///   --progress   progress/ETA line per panel on stderr
+/// bench_campaign reads --json and --gnuplot as directories and derives
+/// one PATH / P per figure from them.
 ///
-/// Benches create one `Bench` session, run panels through it, and return
-/// `finish()` from main: the session aggregates delivery failures across
-/// panels (deterministic schemes must never fail delivery — a nonzero
-/// count makes the process exit nonzero), tracks wall time, and writes the
-/// JSON sink.
+/// Each figure runs in one `Bench` session, which runs its panels and
+/// whose `finish()` gives the exit status: the session aggregates delivery
+/// failures across panels (deterministic schemes must never fail delivery
+/// — a nonzero count makes the process exit nonzero), tracks wall time,
+/// and writes the JSON sink.
 
 #pragma once
 
@@ -33,8 +38,10 @@
 #include <utility>
 #include <vector>
 
+#include "algorithms/algorithm.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/outcome.hpp"
+#include "graph/unit_disk.hpp"
 #include "io/cli.hpp"
 #include "runner/campaign.hpp"
 #include "runner/json_sink.hpp"
@@ -171,6 +178,26 @@ inline ExperimentConfig sweep_config(const BenchOptions& opts, double degree) {
     cfg.seed = opts.seed;
     cfg.jobs = opts.jobs;
     return cfg;
+}
+
+/// Network size of the bespoke report loops' shared sample.
+inline constexpr std::size_t kSampleNodes = 80;
+
+/// The bespoke report loops' sample: `runs` broadcasts of `algo`, each on
+/// a fresh connected n=80, d=6 network from a random source, all drawn
+/// from one `Rng(seed)` stream.  `visit` sees every result in order.
+template <typename Visit>
+void for_each_sample_broadcast(const BroadcastAlgorithm& algo, std::uint64_t seed,
+                               std::size_t runs, Visit&& visit) {
+    UnitDiskParams params;
+    params.node_count = kSampleNodes;
+    params.average_degree = 6.0;
+    Rng gen(seed);
+    for (std::size_t i = 0; i < runs; ++i) {
+        const auto net = generate_network_checked(params, gen);
+        Rng run = gen.fork();
+        visit(algo.broadcast(net.graph, static_cast<NodeId>(run.index(kSampleNodes)), run));
+    }
 }
 
 /// One bench invocation: runs panels, collects them for the JSON sink, and

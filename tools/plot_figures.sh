@@ -3,23 +3,22 @@
 #
 #   tools/plot_figures.sh [build-dir] [out-dir]
 #
-# Runs every fig* bench with --gnuplot, then renders each emitted .dat with
-# gnuplot (if installed).  Each data file is one figure panel; columns are
-# algorithms, rows are network sizes.
+# Runs the sweep figures of bench_campaign's registry with --gnuplot, then
+# renders each emitted .dat with gnuplot (if installed).  Each data file is
+# one figure panel, named <figure>_<panel>.dat; columns are algorithms,
+# rows are network sizes.
 
 set -eu
 BUILD=${1:-build}
 OUT=${2:-plots}
+bin="$(cd "$BUILD" && pwd)/bench/bench_campaign"
+[ -x "$bin" ] || { echo "missing $bin (build first)"; exit 1; }
 mkdir -p "$OUT"
 cd "$OUT"
 
-for bench in fig10_timing fig11_selection fig12_space fig13_priority \
-             fig14_static fig15_first_receipt fig16_backoff; do
-  bin="../$BUILD/bench/$bench"
-  [ -x "$bin" ] || { echo "missing $bin (build first)"; exit 1; }
-  echo "running $bench ..."
-  "$bin" --runs 200 --gnuplot "$bench" > "$bench.txt"
-done
+echo "running the figure sweeps ..."
+"$bin" --figures fig10_timing,fig11_selection,fig12_space,fig13_priority,fig14_static,fig15_first_receipt,fig16_backoff \
+  --runs 200 --gnuplot . > figures.txt
 
 if ! command -v gnuplot > /dev/null 2>&1; then
   echo "gnuplot not installed; .dat files left in $OUT"
