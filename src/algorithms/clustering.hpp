@@ -9,9 +9,9 @@
 /// heads) is a constant-factor dominating set, and any two nearest MIS
 /// nodes are at most 3 hops apart, so connecting them over a spanning tree
 /// adds at most two gateway nodes per edge — a constant-approximation CDS.
-/// The paper argues (and `bench/ablation_approximation` reproduces) that
-/// the greedy and coverage-condition schemes beat it on random networks
-/// despite its better worst case.
+/// The paper argues (and `bench_campaign --figures ablation_approximation`
+/// reproduces) that the greedy and coverage-condition schemes beat it on
+/// random networks despite its better worst case.
 
 #pragma once
 

@@ -7,7 +7,8 @@
 /// constant ratios on randomly generated networks".  We implement the
 /// first Guha-Khuller heuristic (grow a tree from the max-degree node,
 /// greedily coloring) as the centralized quality yardstick the distributed
-/// schemes are measured against in `bench/ablation_approximation`.
+/// schemes are measured against in `bench_campaign --figures
+/// ablation_approximation`.
 
 #pragma once
 

@@ -139,8 +139,10 @@ class CampaignExecutor {
         if (cell.round_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
             complete_round(cell);
         }
+        // Decrement under mutex_: once execute() sees zero it destroys this
+        // executor, so the last task must be done with all_done_ by then.
+        std::lock_guard<std::mutex> lock(mutex_);
         if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            std::lock_guard<std::mutex> lock(mutex_);
             all_done_.notify_all();
         }
     }
@@ -199,11 +201,13 @@ class CampaignExecutor {
             }
             cell.telemetry.merge(partial.telemetry);
         }
-        cell.runs_done += cell.round.size();
+        // Other cells' completers read every cell's runs_done under mutex_
+        // (report_progress_locked), so the new count is stored under it too.
+        const std::size_t runs_done = cell.runs_done + cell.round.size();
         cell.round.clear();
 
-        bool stop = cell.runs_done >= config_.max_runs;
-        if (!stop && cell.runs_done >= config_.min_runs) {
+        bool stop = runs_done >= config_.max_runs;
+        if (!stop && runs_done >= config_.min_runs) {
             stop = std::all_of(cell.forward.begin(), cell.forward.end(), [this](const Summary& s) {
                 return s.ci_within(config_.ci_fraction, config_.ci_z, config_.min_runs,
                                    config_.ci_abs_epsilon);
@@ -211,6 +215,7 @@ class CampaignExecutor {
         }
 
         std::unique_lock<std::mutex> lock(mutex_);
+        cell.runs_done = runs_done;
         if (tel::enabled()) extra_telemetry_.add_count(kRounds);
         if (error_) stop = true;  // abort: stop scheduling new work
         if (stop) {

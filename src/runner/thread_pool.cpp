@@ -35,7 +35,13 @@ ThreadPool::ThreadPool(std::size_t threads) {
 }
 
 ThreadPool::~ThreadPool() {
-    stop_.store(true, std::memory_order_release);
+    {
+        // Under sleep_mutex_, like every write a worker's wait predicate
+        // reads: otherwise a worker between its check and its wait misses
+        // the notify and sleeps forever.
+        std::lock_guard<std::mutex> lock(sleep_mutex_);
+        stop_.store(true, std::memory_order_release);
+    }
     sleep_cv_.notify_all();
     for (std::thread& t : threads_) t.join();
     assert(pending_.load() == 0);
@@ -53,7 +59,10 @@ void ThreadPool::submit(std::function<void()> task) {
         std::lock_guard<std::mutex> lock(workers_[target]->mutex);
         workers_[target]->queue.push_back(std::move(task));
     }
-    pending_.fetch_add(1, std::memory_order_release);
+    {
+        std::lock_guard<std::mutex> lock(sleep_mutex_);  // see ~ThreadPool
+        pending_.fetch_add(1, std::memory_order_release);
+    }
     sleep_cv_.notify_one();
 }
 

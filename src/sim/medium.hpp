@@ -90,7 +90,8 @@ struct MediumConfig {
     /// exactly the same instant destroy each other (the broadcast-storm
     /// failure mode of Section 1).  The paper's evaluation is
     /// collision-free; its cited follow-up relieves collisions with small
-    /// forwarding jitter — `bench/ablation_collisions` reproduces that.
+    /// forwarding jitter — `bench_campaign --figures
+    /// ablation_collisions` reproduces that.
     /// Exclusive to the kIdeal backend: the SINR-family backends model
     /// concurrent arrivals through the interference sum instead.
     bool collisions = false;

@@ -105,13 +105,6 @@ inline constexpr std::uint64_t kDigestBasis = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
 inline constexpr std::uint32_t kNoRank = 0xffffffffu;
 
-/// Minimum events in a window before it fans out to the worker crew.
-/// Workers are spun up lazily: a window whose event count cannot amortize
-/// a barrier rendezvous runs inline on the calling thread instead.  Both
-/// paths compute the identical result, so the adaptive choice never shows
-/// in counts or digests.
-inline constexpr std::size_t kParallelWindow = 4096;
-
 // ---- faulted windowed replay ------------------------------------------
 
 /// Calendar horizon for *plan* event times (engine-generated events are
@@ -429,7 +422,7 @@ ScaleResult ScaleEngine::run_generic(NodeId source) {
         result.peak_queue_events = std::max(result.peak_queue_events, queued);
         if (queued == 0) break;
         ++result.windows;
-        if (config_.jobs > 1 && queued >= kParallelWindow) {
+        if (fans_out(queued, true)) {
             if (!crew) crew.emplace(config_.jobs, wheel_count);
             crew->run_phase([&](std::size_t w) { scan_wheel_generic(w); });
         } else {
@@ -739,8 +732,7 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
         // delivery (bucket order = pop order), decide per wheel in
         // parallel, and let the serial replay consume the verdicts.
         bool prescan = false;
-        if (generic && fault_prefix_only && config_.jobs > 1 &&
-            work_.size() - head >= kParallelWindow) {
+        if (generic && fault_prefix_only && fans_out(work_.size() - head, true)) {
             prescan = true;
             if (++pre_epoch_ == 0) {  // wrap: invalidate everything once
                 std::fill(pre_stamp_.begin(), pre_stamp_.end(), 0);
@@ -953,7 +945,7 @@ ScaleResult ScaleEngine::run(NodeId source) {
         result.peak_queue_events = std::max(result.peak_queue_events, queued);
         if (queued == 0) break;
         ++result.windows;
-        if (config_.jobs > 1 && queued >= kParallelWindow) {
+        if (fans_out(queued, false)) {
             if (!crew) crew.emplace(config_.jobs, config_.wheels);
             crew->run_phase([&](std::size_t w) { process_wheel(w); });
         } else {

@@ -230,6 +230,28 @@ class ScaleEngine {
     /// bench's bytes/node metric.  A churned graph copy is not counted.
     [[nodiscard]] std::size_t state_bytes() const noexcept;
 
+    /// Fan-out gate: a window runs on the worker crew only when `jobs > 1`
+    /// and its queued deliveries, each weighted by `kDecisionWeight` when
+    /// it may trigger a coverage decision, reach `kParallelWindow`; smaller
+    /// windows run inline on the calling thread.  Both paths compute the
+    /// identical result, so the gate never shows in counts or digests.
+    /// See docs/SCALING.md "When a window fans out".
+    ///
+    /// `kParallelWindow` counts flood/self-prune events (~40 ns each):
+    /// below ~1024 of them a window cannot amortize the crew's barrier
+    /// rendezvous (paired runs at n = 10^6 chose it over 4096).
+    static constexpr std::size_t kParallelWindow = 1024;
+    /// A lower bound on the work of one queued generic delivery, in flood
+    /// events.  At n = 10^6 a coverage decision (Definition-2 view compile
+    /// plus the coverage kernel) costs ~4 us against ~40 ns per flood
+    /// event, and a generic window queues ~3 deliveries per decision, so a
+    /// delivery carries ~35 flood events of work.  Paired runs at n = 10^6
+    /// found gates of 16, 64 and 256 queued deliveries equally fast, but
+    /// the 16-delivery gate raised peak RSS by ~10 MiB in 6 of 10 runs; 16
+    /// keeps generic windows fanning out from 1024 / 16 = 64 deliveries.
+    /// docs/PERF.md "Window fan-out gate" has the runs.
+    static constexpr std::size_t kDecisionWeight = 16;
+
   private:
     struct Staged {
         double time;  ///< delivery instant
@@ -271,6 +293,12 @@ class ScaleEngine {
     };
 
     [[nodiscard]] std::size_t wheel_of(NodeId v) const noexcept { return v / block_; }
+    /// The one fan-out rule (see kParallelWindow): `decides` is true when
+    /// the window's deliveries run coverage decisions.
+    [[nodiscard]] bool fans_out(std::size_t deliveries, bool decides) const noexcept {
+        return config_.jobs > 1 &&
+               deliveries * (decides ? kDecisionWeight : 1) >= kParallelWindow;
+    }
     void process_wheel(std::size_t w);
     [[nodiscard]] bool covered_by(NodeId v, NodeId u) const noexcept;
 

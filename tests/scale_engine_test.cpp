@@ -23,10 +23,10 @@
 namespace adhoc {
 namespace {
 
-UnitDiskNetwork make_network(std::size_t n, std::uint64_t seed) {
+UnitDiskNetwork make_network(std::size_t n, std::uint64_t seed, double degree = 6.0) {
     UnitDiskParams params;
     params.node_count = n;
-    params.average_degree = 6.0;
+    params.average_degree = degree;
     Rng gen(seed);
     return generate_network_checked(params, gen);
 }
@@ -172,10 +172,10 @@ TEST(ScaleEngine, RejectsOutOfRangeSourceOnEveryPath) {
 /// Runs the reference Simulator (serial, event-queue, GenericAgent) and
 /// asserts the engine reproduces it byte-for-byte at one (wheels, jobs)
 /// point: forward mask, counts, completion time, and the transmission-order
-/// digest against the trace fold.
-void expect_engine_matches_simulator(const Graph& g, NodeId source,
-                                     const GenericConfig& gc, std::size_t wheels,
-                                     std::size_t jobs) {
+/// digest against the trace fold.  Returns the engine's result.
+ScaleResult expect_engine_matches_simulator(const Graph& g, NodeId source,
+                                            const GenericConfig& gc, std::size_t wheels,
+                                            std::size_t jobs) {
     GenericBroadcast reference(gc);
     Rng rng(99);  // the honorable axes never draw from it
     const BroadcastResult ref = reference.broadcast_traced(g, source, rng, MediumConfig{});
@@ -198,6 +198,7 @@ void expect_engine_matches_simulator(const Graph& g, NodeId source,
     EXPECT_DOUBLE_EQ(got.completion_time, ref.completion_time) << tag;
     EXPECT_EQ(got.full_delivery, ref.full_delivery) << tag;
     EXPECT_EQ(got.order_digest, ref_digest) << tag;
+    return got;
 }
 
 TEST(ScaleEngineGeneric, FirstReceiptMatchesSimulatorAcrossSeedsWheelsJobs) {
@@ -211,6 +212,24 @@ TEST(ScaleEngineGeneric, FirstReceiptMatchesSimulatorAcrossSeedsWheelsJobs) {
         for (const std::size_t w : wheels) {
             for (const std::size_t j : jobs) {
                 expect_engine_matches_simulator(net.graph, source, gc, w, j);
+            }
+        }
+    }
+}
+
+TEST(ScaleEngineGeneric, CrewPathMatchesSimulatorAboveDecisionGate) {
+    // Dense and large enough that generic windows cross the decision gate,
+    // so jobs=4 really decides on the worker crew: the parallel scan must
+    // reproduce the Simulator exactly like the inline one.
+    const UnitDiskNetwork net = make_network(1500, 3, 10.0);
+    for (const GenericConfig& gc : {generic_static_config(2), generic_fr_config(2)}) {
+        for (const std::size_t w : {1ULL, 3ULL, 8ULL}) {
+            for (const std::size_t j : {1ULL, 4ULL}) {
+                const ScaleResult r =
+                    expect_engine_matches_simulator(net.graph, 0, gc, w, j);
+                EXPECT_GE(r.peak_queue_events * ScaleEngine::kDecisionWeight,
+                          ScaleEngine::kParallelWindow)
+                    << "peak " << r.peak_queue_events << " " << gc.summary();
             }
         }
     }

@@ -33,10 +33,10 @@ using faults::FaultSpec;
 using faults::RecoveryConfig;
 using faults::ResilienceSummary;
 
-UnitDiskNetwork make_network(std::size_t n, std::uint64_t seed) {
+UnitDiskNetwork make_network(std::size_t n, std::uint64_t seed, double degree = 6.0) {
     UnitDiskParams params;
     params.node_count = n;
-    params.average_degree = 6.0;
+    params.average_degree = degree;
     Rng gen(seed);
     return generate_network_checked(params, gen);
 }
@@ -127,15 +127,17 @@ class SelfPruneAlgorithm : public BroadcastAlgorithm {
 
 /// Runs the reference resilient Simulator once, then asserts the engine
 /// reproduces it byte-for-byte at every (wheels, jobs) grid point.
-void expect_resilient_match(const BroadcastAlgorithm& algo, const Graph& g,
-                            NodeId source, ScalePolicy policy,
-                            const GenericConfig* gc, const FaultPlan& plan,
-                            const RecoveryConfig& recovery) {
+/// Returns the last grid point's result.
+ScaleResult expect_resilient_match(const BroadcastAlgorithm& algo, const Graph& g,
+                                   NodeId source, ScalePolicy policy,
+                                   const GenericConfig* gc, const FaultPlan& plan,
+                                   const RecoveryConfig& recovery) {
     Rng rng(99);  // the honorable axes never draw from it
     const ResilientResult ref = algo.broadcast_resilient(
         g, source, rng, MediumConfig{}, plan, recovery, /*trace=*/true);
     const std::uint64_t ref_digest = reference_transmission_digest(ref.result.trace);
 
+    ScaleResult got;
     for (const std::size_t wheels : {1, 3, 8}) {
         for (const std::size_t jobs : {1, 4}) {
             ScaleConfig cfg;
@@ -146,7 +148,7 @@ void expect_resilient_match(const BroadcastAlgorithm& algo, const Graph& g,
             ScaleEngine engine(g, cfg);
             engine.attach_faults(&plan);
             engine.set_recovery(recovery);
-            const ScaleResult got = engine.run(source);
+            got = engine.run(source);
 
             const auto tag = ::testing::Message()
                              << algo.name() << " wheels=" << wheels
@@ -174,6 +176,7 @@ void expect_resilient_match(const BroadcastAlgorithm& algo, const Graph& g,
             EXPECT_EQ(sum.delivery_ratio, ref.summary.delivery_ratio) << tag;
         }
     }
+    return got;
 }
 
 TEST(ScaleResilience, FloodMatchesResilientSimulator) {
@@ -219,6 +222,29 @@ TEST(ScaleResilience, GenericStaticMatchesResilientSimulator) {
                            &gc, plan, recovery_off());
     expect_resilient_match(generic, net.graph, 0, ScalePolicy::kGenericCoverage,
                            &gc, plan, aligned_recovery());
+}
+
+TEST(ScaleResilience, GenericPrescanMatchesResilientSimulatorAboveDecisionGate) {
+    // Dense and large enough that windows cross the decision gate, so
+    // jobs=4 pre-scans each window's coverage decisions on the worker crew.
+    const UnitDiskNetwork net = make_network(1500, 3, 10.0);
+    FaultSpec spec;  // few plan events, so the peak bound below stays tight
+    spec.crash_rate = 0.03;
+    spec.crash_window = 6.0;
+    const FaultPlan plan = faults::make_fault_plan(spec, net.graph, 0, 3, 0);
+    for (const GenericConfig& gc : {generic_static_config(2), generic_fr_config(2)}) {
+        const GenericBroadcast generic(gc, gc.summary());
+        const ScaleResult r =
+            expect_resilient_match(generic, net.graph, 0, ScalePolicy::kGenericCoverage,
+                                   &gc, plan, recovery_off());
+        // With recovery off, a window boundary's pending events are that
+        // window's deliveries plus the plan's unapplied events, so the peak
+        // minus the plan size bounds the largest window's deliveries.
+        ASSERT_GT(r.peak_queue_events, plan.events.size());
+        EXPECT_GE((r.peak_queue_events - plan.events.size()) * ScaleEngine::kDecisionWeight,
+                  ScaleEngine::kParallelWindow)
+            << "peak " << r.peak_queue_events << " plan " << plan.events.size();
+    }
 }
 
 TEST(ScaleResilience, SelfPruneMatchesResilientSimulator) {
