@@ -99,18 +99,12 @@ inline std::uint64_t mix(std::uint64_t h, std::uint64_t x) noexcept {
 
 inline constexpr std::uint64_t kDigestBasis = 0xcbf29ce484222325ULL;
 
-/// "No receipt yet this window."  Unreachable as a real key: the high word
-/// is the sender's transmission ordinal, and ordinal 0xffffffff is the
-/// not-yet-transmitted sentinel — a sender always has a real ordinal.
-inline constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
-inline constexpr std::uint32_t kNoRank = 0xffffffffu;
-
-// ---- faulted windowed replay ------------------------------------------
+// ---- exact-order window pipeline -----------------------------------------
 
 /// Calendar horizon for *plan* event times (engine-generated events are
 /// bounded by the run's own dynamics).  2^20 windows of empty buckets is
 /// ~24 MB worst-case — far past any real schedule, cheap enough to keep the
-/// resize in push_revent unconditional.
+/// resize in bucket() unconditional.
 inline constexpr std::size_t kMaxWindows = std::size_t{1} << 20;
 
 // REvent.kind values.  The numeric order is irrelevant: buckets sort by
@@ -127,6 +121,27 @@ inline constexpr std::uint32_t kNackMsgR = 1;
 /// held_pkt_ sentinel: "holds the packet with an empty history chain" —
 /// only the source, whose initial state is empty, ever carries it.
 inline constexpr std::uint32_t kHeldEmpty = 0xffffffffu;
+// Action.ops bits, executed in this order — the order in which the
+// reference machine performs an event's pushes: a beacon timer sends its
+// beacon and then re-arms, a NACK timer sends its NACK and then re-arms,
+// and a first receipt arms the holder beacon before the agent transmits.
+// No event sets two bits that this order would swap.
+inline constexpr std::uint32_t kOpBeacon = 1;     ///< holder beacon to all neighbors
+inline constexpr std::uint32_t kOpNack = 2;       ///< NACK to Action.target
+inline constexpr std::uint32_t kOpArmBeacon = 4;  ///< beacon timer at Action.when
+inline constexpr std::uint32_t kOpTransmit = 8;   ///< forward the first received copy
+inline constexpr std::uint32_t kOpArmNack = 16;   ///< NACK timer at Action.when
+inline constexpr std::uint32_t kOpResend = 32;    ///< budgeted repair
+
+/// The one snap rule for window alignment: the integer nearest `q` when
+/// `q` lies within 1e-9 of it (relative, floored at 1), else nothing.
+/// Delivery and timer instants are exact multiples of the delay, but plan
+/// times and backoff products may carry floating-point noise.
+inline std::optional<double> snapped(double q) noexcept {
+    const double r = std::nearbyint(q);
+    if (std::abs(q - r) <= 1e-9 * std::max(1.0, std::abs(q))) return r;
+    return std::nullopt;
+}
 
 }  // namespace
 
@@ -178,19 +193,14 @@ ScaleEngine::ScaleEngine(const Graph& graph, ScaleConfig config)
     if (block_ == 0) block_ = 1;
     received_.assign(n, 0);
     forwarded_.assign(n, 0);
-    first_sender_.assign(n, kInvalidNode);
     wheels_.resize(config_.wheels);
     prev_.resize(config_.wheels * config_.wheels);
     cur_.resize(config_.wheels * config_.wheels);
+    scratch_.resize(config_.wheels);
 
     if (config_.policy == ScalePolicy::kGenericCoverage) {
         validate_generic_config();
         keys_ = PriorityKeys(*graph_, config_.generic.priority);
-        tx_rank_.assign(n, kNoRank);
-        best_key_.assign(n, kNoKey);
-        chain_.assign(n * chain_stride(), kInvalidNode);
-        chain_len_.assign(n, 0);
-        scratch_.resize(config_.wheels);
     }
 }
 
@@ -216,13 +226,6 @@ void ScaleEngine::flap(NodeId u, NodeId v, bool add) {
 void ScaleEngine::add_edge(NodeId u, NodeId v) { flap(u, v, true); }
 
 void ScaleEngine::remove_edge(NodeId u, NodeId v) { flap(u, v, false); }
-
-std::size_t ScaleEngine::chain_stride() const noexcept {
-    // Static decisions ignore broadcast state entirely, so nothing is
-    // piggybacked; first-receipt carries the last `history` visited nodes.
-    return config_.generic.timing == Timing::kFirstReceipt ? config_.generic.history
-                                                           : 0;
-}
 
 bool ScaleEngine::covered_by(NodeId v, NodeId u) const noexcept {
     // True iff every neighbor of v is u itself or a neighbor of u — the
@@ -254,7 +257,6 @@ void ScaleEngine::process_wheel(std::size_t w) {
             wheel.digest = mix(wheel.digest, (std::uint64_t{v} << 32) | e.sender);
             if (received_[v]) continue;  // duplicate copy: snooped, not re-decided
             received_[v] = 1;
-            first_sender_[v] = e.sender;
             const bool forward =
                 config_.policy == ScalePolicy::kFlood || !covered_by(v, e.sender);
             if (!forward) continue;
@@ -265,19 +267,6 @@ void ScaleEngine::process_wheel(std::size_t w) {
             }
         }
     }
-}
-
-std::uint64_t ScaleEngine::receipt_key(NodeId sender, NodeId v) const noexcept {
-    // The reference Simulator delivers a window's copies in (sender
-    // transmission time, schedule sequence) order, and the sequence numbers
-    // follow the sender's fanout loop over its sorted adjacency row.  So
-    // (sender's transmission ordinal, index of v in the sender's row) is
-    // the exact pop order — recovered here with a binary search instead of
-    // widening the Staged record.
-    const auto row = graph_->neighbors(sender);
-    const auto it = std::lower_bound(row.begin(), row.end(), v);
-    const auto idx = static_cast<std::uint64_t>(it - row.begin());
-    return (std::uint64_t{tx_rank_[sender]} << 32) | idx;
 }
 
 bool ScaleEngine::decide(WheelScratch& ws, NodeId v, NodeId sender,
@@ -322,160 +311,10 @@ bool ScaleEngine::decide(WheelScratch& ws, NodeId v, NodeId sender,
     return !evaluate_coverage_compiled(s, b.local_of(v), pv, gc.coverage).covered;
 }
 
-void ScaleEngine::scan_wheel_generic(std::size_t w) {
-    Wheel& wheel = wheels_[w];
-    const std::size_t wheel_count = config_.wheels;
-    WheelScratch& ws = scratch_[w];
-    ws.fresh.clear();
-    ws.forwarders.clear();
-    // Pass 1: account every delivery and find, per not-yet-received node,
-    // the minimum receipt key — the copy the reference Simulator would pop
-    // first within this window.
-    for (std::size_t s = 0; s < wheel_count; ++s) {
-        for (const Staged& e : prev_[s * wheel_count + w]) {
-            const NodeId v = e.node;
-            ++wheel.delivered;
-            wheel.last_time = std::max(wheel.last_time, e.time);
-            if (received_[v]) continue;  // duplicate copy: snooped, not re-decided
-            const std::uint64_t key = receipt_key(e.sender, v);
-            if (best_key_[v] == kNoKey) ws.fresh.push_back(v);
-            if (key < best_key_[v]) {
-                best_key_[v] = key;
-                first_sender_[v] = e.sender;
-            }
-        }
-    }
-    // Pass 2: decide each first receipt against its first sender's packet.
-    // Chains of this window's senders are final (they transmitted last
-    // window), so the decisions are independent across wheels.
-    const std::size_t h = chain_stride();
-    for (NodeId v : ws.fresh) {
-        received_[v] = 1;
-        const NodeId u = first_sender_[v];
-        const std::span<const NodeId> chain(chain_.data() + std::size_t{u} * h,
-                                            chain_len_[u]);
-        if (!decide(ws, v, u, chain)) continue;
-        forwarded_[v] = 1;
-        if (h > 0) {
-            // Outgoing chain: the last min(len(u), h-1) of the sender's
-            // chain, then v itself (packet.cpp chain_state semantics).
-            const NodeId* cu = chain_.data() + std::size_t{u} * h;
-            const std::size_t keep = std::min<std::size_t>(chain_len_[u], h - 1);
-            NodeId* cv = chain_.data() + std::size_t{v} * h;
-            const NodeId* from = cu + chain_len_[u] - keep;
-            for (std::size_t i = 0; i < keep; ++i) cv[i] = from[i];
-            cv[keep] = v;
-            chain_len_[v] = static_cast<std::uint32_t>(keep + 1);
-        }
-        ws.forwarders.push_back(v);
-    }
-}
-
-ScaleResult ScaleEngine::run_generic(NodeId source) {
-    const std::size_t n = graph_->node_count();
-    std::fill(received_.begin(), received_.end(), 0);
-    std::fill(forwarded_.begin(), forwarded_.end(), 0);
-    std::fill(first_sender_.begin(), first_sender_.end(), kInvalidNode);
-    std::fill(tx_rank_.begin(), tx_rank_.end(), kNoRank);
-    std::fill(best_key_.begin(), best_key_.end(), kNoKey);
-    std::fill(chain_len_.begin(), chain_len_.end(), 0);
-    for (Wheel& wheel : wheels_) wheel = Wheel{};
-    for (std::vector<Staged>& bucket : prev_) bucket.clear();
-    for (std::vector<Staged>& bucket : cur_) bucket.clear();
-    generic_digest_ = kDigestBasis;
-    next_rank_ = 0;
-
-    if (keys_stale_) {
-        keys_ = PriorityKeys(*graph_, config_.generic.priority);
-        keys_stale_ = false;
-    }
-
-    ScaleResult result;
-    if (n == 0) return result;
-
-    const std::size_t wheel_count = config_.wheels;
-    received_[source] = 1;
-    forwarded_[source] = 1;
-    tx_rank_[source] = next_rank_++;
-    generic_digest_ = mix(generic_digest_, std::bit_cast<std::uint64_t>(0.0));
-    generic_digest_ = mix(generic_digest_, source);
-    if (const std::size_t h = chain_stride(); h > 0) {
-        chain_[std::size_t{source} * h] = source;
-        chain_len_[source] = 1;
-    }
-    {
-        const std::size_t w = wheel_of(source);
-        for (NodeId x : graph_->neighbors(source)) {
-            prev_[w * wheel_count + wheel_of(x)].push_back({config_.delay, x, source});
-        }
-    }
-
-    std::optional<PhaseCrew> crew;
-    // All of a window's deliveries share one receive instant, accumulated
-    // by repeated addition exactly as the Simulator accumulates now_ +
-    // delay — bit-equality of times (hence digests) is preserved.
-    double window_time = config_.delay;
-
-    while (true) {
-        std::size_t queued = 0;
-        for (const std::vector<Staged>& bucket : prev_) queued += bucket.size();
-        result.peak_queue_events = std::max(result.peak_queue_events, queued);
-        if (queued == 0) break;
-        ++result.windows;
-        if (fans_out(queued, true)) {
-            if (!crew) crew.emplace(config_.jobs, wheel_count);
-            crew->run_phase([&](std::size_t w) { scan_wheel_generic(w); });
-        } else {
-            for (std::size_t w = 0; w < wheel_count; ++w) scan_wheel_generic(w);
-        }
-
-        // Serial rank step: merge the window's new forwarders in receipt-key
-        // order — the global (time, seq) order the reference Simulator
-        // decides in — assign dense transmission ordinals, fold the order
-        // digest, and stage the fanout.  O(F log F + fanout F) against the
-        // coverage kernels' O(F * ball edges): never the bottleneck.
-        merge_.clear();
-        for (std::size_t w = 0; w < wheel_count; ++w) {
-            for (NodeId v : scratch_[w].forwarders) merge_.push_back({best_key_[v], v});
-        }
-        std::sort(merge_.begin(), merge_.end());
-        for (std::vector<Staged>& bucket : cur_) bucket.clear();
-        const double next_time = window_time + config_.delay;
-        for (const auto& [key, v] : merge_) {
-            tx_rank_[v] = next_rank_++;
-            generic_digest_ = mix(generic_digest_, std::bit_cast<std::uint64_t>(window_time));
-            generic_digest_ = mix(generic_digest_, v);
-            const std::size_t row = wheel_of(v) * wheel_count;
-            for (NodeId x : graph_->neighbors(v)) {
-                cur_[row + wheel_of(x)].push_back({next_time, x, v});
-            }
-        }
-        prev_.swap(cur_);
-        window_time = next_time;
-    }
-
-    for (const Wheel& wheel : wheels_) {
-        result.delivered_events += wheel.delivered;
-        result.completion_time = std::max(result.completion_time, wheel.last_time);
-    }
-    result.order_digest = generic_digest_;
-    result.forward_count =
-        static_cast<std::size_t>(std::count(forwarded_.begin(), forwarded_.end(), 1));
-    result.received_count =
-        static_cast<std::size_t>(std::count(received_.begin(), received_.end(), 1));
-    result.full_delivery = result.received_count == n;
-    return result;
-}
-
 std::size_t ScaleEngine::window_index(double time) const noexcept {
-    // Snap near-integer quotients to the boundary (delivery and timer
-    // instants are exact multiples of delay, but plan times and backoff
-    // products may carry FP noise), otherwise round up: an event at time t
-    // fires at the first window boundary >= t.
+    // An event at time t fires at the first window boundary >= t.
     const double q = time / config_.delay;
-    const double r = std::nearbyint(q);
-    const double w =
-        std::abs(q - r) <= 1e-9 * std::max(1.0, std::abs(q)) ? r : std::ceil(q);
+    const double w = snapped(q).value_or(std::ceil(q));
     return w <= 0.0 ? 0 : static_cast<std::size_t>(w);
 }
 
@@ -500,9 +339,8 @@ void ScaleEngine::set_recovery(const faults::RecoveryConfig& config) {
     if (config.enabled) {
         const auto aligned = [&](double value) {
             if (!std::isfinite(value) || value <= 0.0) return false;
-            const double q = value / config_.delay;
-            const double r = std::nearbyint(q);
-            return r >= 1.0 && std::abs(q - r) <= 1e-9 * std::max(1.0, std::abs(q));
+            const std::optional<double> r = snapped(value / config_.delay);
+            return r.has_value() && *r >= 1.0;
         };
         if (!aligned(config.beacon_interval)) {
             throw std::invalid_argument(
@@ -541,29 +379,44 @@ void ScaleEngine::set_recovery(const faults::RecoveryConfig& config) {
     recovery_ = config;
 }
 
-void ScaleEngine::push_revent(double time, std::uint32_t kind, NodeId node,
-                              std::uint32_t payload) {
+std::vector<ScaleEngine::REvent>& ScaleEngine::bucket(double time) {
     const std::size_t w = window_index(time);
     if (cal_.size() <= w) cal_.resize(w + 1);
-    cal_[w].push_back({time, r_seq_++, kind, node, payload});
+    // A bucket's first push adopts the spare buffer of a drained window, so
+    // the calendar holds O(window) capacity, not O(run).
+    if (cal_[w].capacity() == 0) cal_[w].swap(spare_);
+    return cal_[w];
+}
+
+void ScaleEngine::push_revent(double time, std::uint32_t kind, NodeId node,
+                              std::uint32_t payload) {
+    bucket(time).push_back({time, r_seq_++, kind, node, payload});
     ++r_pending_;
 }
 
-void ScaleEngine::fanout_resilient(NodeId sender, bool control, std::uint32_t payload,
-                                   NodeId only_target, double next_time) {
+void ScaleEngine::fanout(NodeId sender, bool control, std::uint32_t payload,
+                         NodeId only_target, double next_time) {
     // Mirrors Simulator::schedule_deliveries exactly: the target skip comes
     // before fault gating (no loss draw for skipped neighbors), and a down
     // link short-circuits the draw (|| in the reference) so the counter
-    // stream position stays identical.
+    // stream position stays identical.  Without a plan nothing is down and
+    // no link is lossy, so the gate is skipped (no output reads the draw
+    // counter).
+    const bool gated = fault_plan_ != nullptr;
     const std::uint32_t kind = control ? kRControl : kRDelivery;
+    std::vector<REvent>& out = bucket(next_time);
+    std::uint64_t seq = r_seq_;
     for (NodeId nbr : graph_->neighbors(sender)) {
         if (only_target != kInvalidNode && nbr != only_target) continue;
-        if (!fsession_.link_up(sender, nbr) || fsession_.drop_directed(sender, nbr)) {
+        if (gated &&
+            (!fsession_.link_up(sender, nbr) || fsession_.drop_directed(sender, nbr))) {
             ++r_suppressed_;
             continue;
         }
-        push_revent(next_time, kind, nbr, payload);
+        out.push_back({next_time, seq++, kind, nbr, payload});
     }
+    r_pending_ += seq - r_seq_;
+    r_seq_ = seq;
 }
 
 std::uint32_t ScaleEngine::make_packet(NodeId v, std::size_t history) {
@@ -583,29 +436,30 @@ std::uint32_t ScaleEngine::make_packet(NodeId v, std::size_t history) {
         }
         const auto keep = static_cast<std::uint32_t>(
             std::min<std::size_t>(base_len, history - 1));
-        r_chain_.reserve(r_chain_.size() + keep + 1);
+        // resize grows capacity geometrically; an exact reserve here would
+        // reallocate the pool on every packet.
         off = static_cast<std::uint32_t>(r_chain_.size());
-        for (std::uint32_t i = 0; i < keep; ++i) {
-            r_chain_.push_back(r_chain_[base_off + base_len - keep + i]);
-        }
-        r_chain_.push_back(v);
         len = keep + 1;
+        r_chain_.resize(std::size_t{off} + len);
+        std::copy_n(r_chain_.begin() + base_off + base_len - keep, keep,
+                    r_chain_.begin() + off);
+        r_chain_[off + keep] = v;
     }
     const auto pid = static_cast<std::uint32_t>(packets_.size());
     packets_.push_back({v, off, len});
     return pid;
 }
 
-void ScaleEngine::transmit_resilient(NodeId v, double now) {
+void ScaleEngine::transmit(NodeId v, double now) {
     forwarded_[v] = 1;
     received_[v] = 1;
-    generic_digest_ = mix(generic_digest_, std::bit_cast<std::uint64_t>(now));
-    generic_digest_ = mix(generic_digest_, v);
+    tx_digest_ = mix(tx_digest_, std::bit_cast<std::uint64_t>(now));
+    tx_digest_ = mix(tx_digest_, v);
     const std::uint32_t pid = make_packet(v, config_.generic.history);
-    fanout_resilient(v, false, pid, kInvalidNode, now + config_.delay);
+    fanout(v, false, pid, kInvalidNode, now + config_.delay);
 }
 
-void ScaleEngine::resend_resilient(NodeId v, double now) {
+void ScaleEngine::resend(NodeId v, double now) {
     // Mirrors Simulator::resend: accounted separately, not a forward, and
     // NOT folded into the order digest (the reference digest folds
     // kTransmit trace events only).  The repair carries the chain of the
@@ -613,22 +467,132 @@ void ScaleEngine::resend_resilient(NodeId v, double now) {
     ++r_retransmit_;
     received_[v] = 1;
     const std::uint32_t pid = make_packet(v, recovery_->history);
-    fanout_resilient(v, false, pid, kInvalidNode, now + config_.delay);
+    fanout(v, false, pid, kInvalidNode, now + config_.delay);
 }
 
 std::span<const NodeId> ScaleEngine::packet_chain(const RPacket& pkt) const noexcept {
     return {r_chain_.data() + pkt.chain_off, pkt.chain_len};
 }
 
-ScaleResult ScaleEngine::run_resilient(NodeId source) {
+void ScaleEngine::apply_fault(const faults::FaultEvent& fe) {
+    fsession_.apply(fe);
+    if (config_.churn_updates_views && (fe.kind == faults::FaultKind::kLinkDown ||
+                                        fe.kind == faults::FaultKind::kLinkUp)) {
+        flap(fe.link.a, fe.link.b, fe.kind == faults::FaultKind::kLinkUp);
+    }
+}
+
+void ScaleEngine::replay_wheel(WheelScratch& ws, std::size_t lo, std::size_t hi,
+                               NodeId first, std::size_t count) {
+    // Walks work_[lo, hi) in (time, seq) order and replays the events of
+    // nodes [first, first + count) against those nodes' state only.  Every
+    // push the reference machine would make is recorded as an Action and
+    // left to the serial action step; none of them lands in this window.
+    ws.actions.clear();
+    std::size_t delivered = 0;  // local tallies: no false sharing between wheels
+    std::size_t suppressed = 0;
+    const bool beacons = recovery_on() && recovery_->max_beacons > 0;
+    const auto nack_backoff = [&](std::uint32_t sent) {
+        return recovery_->nack_delay *
+               std::pow(recovery_->backoff_factor, static_cast<double>(sent));
+    };
+    for (std::size_t j = lo; j < hi; ++j) {
+        const REvent& e = work_[j];
+        const NodeId v = e.node;
+        if (v - first >= count) continue;  // another wheel's node
+        if (e.kind == kRDelivery) ++delivered;
+        if (!fsession_.node_up(v)) {
+            ++suppressed;  // deliveries, timers and controls die with their node
+            continue;
+        }
+        Action a{static_cast<std::uint32_t>(j), 0, kInvalidNode, 0.0};
+        if (e.kind == kRDelivery) {
+            if (received_[v]) continue;  // duplicate copy: snooped, not re-decided
+            received_[v] = 1;
+            held_pkt_[v] = e.payload;
+            const RPacket& pkt = packets_[e.payload];
+            // RecoveryAgent::on_receive arms the holder beacon BEFORE the
+            // inner agent's fanout sequences.
+            if (beacons) {
+                a.ops = kOpArmBeacon;
+                a.when = e.time + recovery_->beacon_interval;
+            }
+            bool forward = true;
+            if (config_.policy == ScalePolicy::kSelfPrune) {
+                forward = !covered_by(v, pkt.sender);
+            } else if (config_.policy == ScalePolicy::kGenericCoverage) {
+                forward = decide(ws, v, pkt.sender, packet_chain(pkt));
+            }
+            if (forward) a.ops |= kOpTransmit;
+        } else if (!recovery_on()) {
+            continue;
+        } else if (e.kind == kRTimer && e.payload == kBeaconTimerR) {
+            if (!received_[v]) continue;  // not a holder
+            a.ops = kOpBeacon;
+            if (++beacons_n_[v] < recovery_->max_beacons) {
+                a.ops |= kOpArmBeacon;
+                a.when = e.time + recovery_->beacon_interval;
+            }
+        } else if (e.kind == kRTimer) {
+            nack_armed_[v] = 0;
+            if (received_[v]) continue;  // healed while waiting
+            if (gap_source_[v] == kInvalidNode) continue;
+            a.ops = kOpNack;
+            a.target = gap_source_[v];
+            if (++nacks_n_[v] < recovery_->max_nacks) {
+                // Re-arm under exponential backoff (the repair or the next
+                // beacon may be lost too) — note the post-increment
+                // exponent, vs the pre-increment one on beacon receipt.
+                nack_armed_[v] = 1;
+                a.ops |= kOpArmNack;
+                a.when = e.time + nack_backoff(nacks_n_[v]);
+            }
+        } else if (controls_[e.payload].kind == kBeaconMsgR) {
+            if (received_[v]) continue;  // nothing missing here
+            gap_source_[v] = controls_[e.payload].sender;
+            if (nack_armed_[v] || nacks_n_[v] >= recovery_->max_nacks) continue;
+            nack_armed_[v] = 1;
+            a.ops = kOpArmNack;
+            a.when = e.time + nack_backoff(nacks_n_[v]);
+        } else {
+            if (!received_[v]) continue;  // stale NACK: no packet here
+            if (repairs_n_[v] >= recovery_->retransmit_budget) continue;
+            ++repairs_n_[v];
+            a.ops = kOpResend;
+        }
+        if (a.ops != 0) ws.actions.push_back(a);
+    }
+    ws.delivered += delivered;
+    ws.suppressed += suppressed;
+}
+
+void ScaleEngine::run_actions() {
+    for (const Action& a : actions_) {
+        const REvent& e = work_[a.event];
+        const NodeId v = e.node;
+        if ((a.ops & (kOpBeacon | kOpNack)) != 0) {
+            const bool nack = (a.ops & kOpNack) != 0;
+            ++r_control_;
+            const auto cid = static_cast<std::uint32_t>(controls_.size());
+            controls_.push_back({v, nack ? kNackMsgR : kBeaconMsgR});
+            fanout(v, true, cid, nack ? a.target : kInvalidNode,
+                             e.time + config_.delay);
+        }
+        if ((a.ops & kOpArmBeacon) != 0) push_revent(a.when, kRTimer, v, kBeaconTimerR);
+        if ((a.ops & kOpTransmit) != 0) transmit(v, e.time);
+        if ((a.ops & kOpArmNack) != 0) push_revent(a.when, kRTimer, v, kNackTimerR);
+        if ((a.ops & kOpResend) != 0) resend(v, e.time);
+    }
+}
+
+ScaleResult ScaleEngine::run_exact(NodeId source) {
     const std::size_t n = graph_->node_count();
     ScaleResult result;
     if (n == 0) return result;
 
     std::fill(received_.begin(), received_.end(), 0);
     std::fill(forwarded_.begin(), forwarded_.end(), 0);
-    std::fill(first_sender_.begin(), first_sender_.end(), kInvalidNode);
-    for (std::vector<REvent>& bucket : cal_) bucket.clear();
+    for (std::vector<REvent>& b : cal_) b.clear();
     work_.clear();
     packets_.clear();
     controls_.clear();
@@ -638,7 +602,7 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
     r_retransmit_ = 0;
     r_control_ = 0;
     r_suppressed_ = 0;
-    generic_digest_ = kDigestBasis;
+    tx_digest_ = kDigestBasis;
     held_pkt_.assign(n, kHeldEmpty);
     if (recovery_on()) {
         beacons_n_.assign(n, 0);
@@ -647,18 +611,16 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
         gap_source_.assign(n, kInvalidNode);
         repairs_n_.assign(n, 0);
     }
+    for (WheelScratch& ws : scratch_) ws.delivered = ws.suppressed = 0;
 
     const bool generic = config_.policy == ScalePolicy::kGenericCoverage;
-    if (generic) {
-        if (keys_stale_) {
+    const auto refresh_keys = [&] {  // a flap changed degrees/NCR
+        if (generic && keys_stale_) {
             keys_ = PriorityKeys(*graph_, config_.generic.priority);
             keys_stale_ = false;
         }
-        pre_stamp_.assign(n, 0);
-        pre_pkt_.resize(n);
-        pre_dec_.resize(n);
-        pre_epoch_ = 0;
-    }
+    };
+    refresh_keys();
 
     // Queue the whole fault schedule first: these events carry the globally
     // lowest insertion sequences, so a crash always beats same-instant
@@ -674,222 +636,80 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
     // source transmits unconditionally (no fault has been applied yet);
     // then — RecoveryAgent::start order — the source's holder beacon arms
     // AFTER the fanout's insertion sequences.
-    transmit_resilient(source, 0.0);
+    transmit(source, 0.0);
     if (recovery_on() && recovery_->max_beacons > 0) {
         push_revent(recovery_->beacon_interval, kRTimer, source, kBeaconTimerR);
     }
 
     std::optional<PhaseCrew> crew;
     double completion = 0.0;
+    const auto by_pop_order = [](const REvent& a, const REvent& b) {
+        return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    };
 
     for (std::size_t w = 0; r_pending_ > 0 && w < cal_.size(); ++w) {
         if (cal_[w].empty()) continue;
         result.peak_queue_events = std::max(result.peak_queue_events, r_pending_);
         ++result.windows;
-        // Swap the bucket out before draining: processing pushes into
-        // future buckets, which may reallocate the calendar.
+        // Swap the bucket out before draining: the action step pushes into
+        // later buckets, which may reallocate the calendar.  The drained
+        // buffer of the previous window becomes the spare.
         work_.clear();
         work_.swap(cal_[w]);
+        if (cal_[w].capacity() > spare_.capacity()) cal_[w].swap(spare_);
+        std::vector<REvent>().swap(cal_[w]);
         r_pending_ -= work_.size();
         // Within a bucket, (time, seq) is the reference queue's pop order;
         // buckets partition the time axis into disjoint ascending ranges,
         // so the concatenation of sorted buckets IS the global pop order.
-        std::sort(work_.begin(), work_.end(), [](const REvent& a, const REvent& b) {
-            return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-        });
-
-        // Fault prefix: plan events carry the lowest sequences, so they
-        // normally sort ahead of all same-window traffic.  Applying them up
-        // front freezes up/down state for the window — the precondition for
-        // pre-scanning decisions in parallel.
-        std::size_t head = 0;
-        while (head < work_.size() && work_[head].kind == kRFault) {
-            const faults::FaultEvent& fe = plan.events[work_[head].payload];
-            fsession_.apply(fe);
-            if (config_.churn_updates_views &&
-                (fe.kind == faults::FaultKind::kLinkDown ||
-                 fe.kind == faults::FaultKind::kLinkUp)) {
-                flap(fe.link.a, fe.link.b, fe.kind == faults::FaultKind::kLinkUp);
-            }
-            completion = std::max(completion, work_[head].time);
-            ++head;
-        }
-        bool fault_prefix_only = true;
-        for (std::size_t j = head; j < work_.size(); ++j) {
-            if (work_[j].kind == kRFault) {
-                fault_prefix_only = false;
-                break;
-            }
-        }
-        if (generic && keys_stale_) {  // churn_updates_views rebuilt topology
-            keys_ = PriorityKeys(*graph_, config_.generic.priority);
-            keys_stale_ = false;
+        // A fault-free bucket is already sorted: one instant, pushed in
+        // sequence order.
+        if (!std::is_sorted(work_.begin(), work_.end(), by_pop_order)) {
+            std::sort(work_.begin(), work_.end(), by_pop_order);
         }
 
-        // Parallel decision pre-scan: coverage decisions are pure functions
-        // of (first packet, graph, keys), all frozen at the window boundary
-        // once the fault prefix is in.  Find each node's first in-window
-        // delivery (bucket order = pop order), decide per wheel in
-        // parallel, and let the serial replay consume the verdicts.
-        bool prescan = false;
-        if (generic && fault_prefix_only && fans_out(work_.size() - head, true)) {
-            prescan = true;
-            if (++pre_epoch_ == 0) {  // wrap: invalidate everything once
-                std::fill(pre_stamp_.begin(), pre_stamp_.end(), 0);
-                pre_epoch_ = 1;
+        // Fault events apply serially, in place.  Plan events carry the
+        // lowest sequences, so they normally form a prefix; one that sorts
+        // after same-window traffic splits the window into phases at its
+        // (time, seq).  Within a phase, up/down state and the graph are
+        // frozen, and every push lands in a later window, so each wheel
+        // replays its own nodes' events independently and the serial
+        // action step performs the pushes in merged pop order.
+        for (std::size_t lo = 0; lo < work_.size();) {
+            if (work_[lo].kind == kRFault) {
+                apply_fault(plan.events[work_[lo++].payload]);
+                continue;
             }
-            for (WheelScratch& ws : scratch_) ws.fresh.clear();
-            for (std::size_t j = head; j < work_.size(); ++j) {
-                const REvent& e = work_[j];
-                if (e.kind != kRDelivery) continue;
-                const NodeId v = e.node;
-                if (received_[v] || pre_stamp_[v] == pre_epoch_ ||
-                    !fsession_.node_up(v)) {
-                    continue;
-                }
-                pre_stamp_[v] = pre_epoch_;
-                pre_pkt_[v] = e.payload;
-                scratch_[wheel_of(v)].fresh.push_back(v);
+            std::size_t hi = lo;
+            while (hi < work_.size() && work_[hi].kind != kRFault) ++hi;
+            refresh_keys();
+            const auto phase = [&](std::size_t wi) {
+                replay_wheel(scratch_[wi], lo, hi, static_cast<NodeId>(wi * block_), block_);
+            };
+            if (fans_out(hi - lo, generic)) {
+                if (!crew) crew.emplace(config_.jobs, config_.wheels);
+                crew->run_phase(phase);
+            } else {
+                for (std::size_t wi = 0; wi < config_.wheels; ++wi) phase(wi);
             }
-            if (!crew) crew.emplace(config_.jobs, config_.wheels);
-            crew->run_phase([&](std::size_t wi) {
-                WheelScratch& ws = scratch_[wi];
-                for (NodeId v : ws.fresh) {
-                    const RPacket& pkt = packets_[pre_pkt_[v]];
-                    pre_dec_[v] = decide(ws, v, pkt.sender, packet_chain(pkt)) ? 1 : 0;
-                }
-            });
+            actions_.clear();
+            for (const WheelScratch& ws : scratch_) {
+                actions_.insert(actions_.end(), ws.actions.begin(), ws.actions.end());
+            }
+            std::sort(actions_.begin(), actions_.end(),
+                      [](const Action& a, const Action& b) { return a.event < b.event; });
+            run_actions();
+            lo = hi;
         }
-
-        // Serial replay in pop order.
-        for (std::size_t j = head; j < work_.size(); ++j) {
-            const REvent& e = work_[j];
-            completion = std::max(completion, e.time);
-            switch (e.kind) {
-                case kRFault: {
-                    const faults::FaultEvent& fe = plan.events[e.payload];
-                    fsession_.apply(fe);
-                    if (config_.churn_updates_views &&
-                        (fe.kind == faults::FaultKind::kLinkDown ||
-                         fe.kind == faults::FaultKind::kLinkUp)) {
-                        flap(fe.link.a, fe.link.b,
-                             fe.kind == faults::FaultKind::kLinkUp);
-                        if (generic) {
-                            keys_ = PriorityKeys(*graph_, config_.generic.priority);
-                            keys_stale_ = false;
-                        }
-                    }
-                    break;
-                }
-                case kRDelivery: {
-                    ++result.delivered_events;
-                    const NodeId v = e.node;
-                    if (!fsession_.node_up(v)) {
-                        ++r_suppressed_;
-                        break;
-                    }
-                    const bool first = received_[v] == 0;
-                    received_[v] = 1;
-                    if (!first) break;  // duplicate copy: snooped only
-                    held_pkt_[v] = e.payload;
-                    first_sender_[v] = packets_[e.payload].sender;
-                    // RecoveryAgent::on_receive arms the holder beacon
-                    // BEFORE the inner agent's fanout sequences.
-                    if (recovery_on() && recovery_->max_beacons > 0) {
-                        push_revent(e.time + recovery_->beacon_interval, kRTimer, v,
-                                    kBeaconTimerR);
-                    }
-                    bool forward;
-                    if (config_.policy == ScalePolicy::kFlood) {
-                        forward = true;
-                    } else if (config_.policy == ScalePolicy::kSelfPrune) {
-                        forward = !covered_by(v, packets_[e.payload].sender);
-                    } else if (prescan && pre_stamp_[v] == pre_epoch_) {
-                        forward = pre_dec_[v] != 0;
-                    } else {
-                        const RPacket& pkt = packets_[e.payload];
-                        forward = decide(scratch_[wheel_of(v)], v, pkt.sender,
-                                         packet_chain(pkt));
-                    }
-                    if (forward) transmit_resilient(v, e.time);
-                    break;
-                }
-                case kRTimer: {
-                    const NodeId v = e.node;
-                    if (!fsession_.node_up(v)) {
-                        ++r_suppressed_;  // timers die with their node
-                        break;
-                    }
-                    if (!recovery_on()) break;
-                    if (e.payload == kBeaconTimerR) {
-                        if (!received_[v]) break;  // not a holder
-                        ++r_control_;
-                        const auto cid = static_cast<std::uint32_t>(controls_.size());
-                        controls_.push_back({v, kBeaconMsgR});
-                        fanout_resilient(v, true, cid, kInvalidNode,
-                                         e.time + config_.delay);
-                        if (++beacons_n_[v] < recovery_->max_beacons) {
-                            push_revent(e.time + recovery_->beacon_interval, kRTimer,
-                                        v, kBeaconTimerR);
-                        }
-                    } else {
-                        nack_armed_[v] = 0;
-                        if (received_[v]) break;  // healed while waiting
-                        if (gap_source_[v] == kInvalidNode) break;
-                        ++r_control_;
-                        const auto cid = static_cast<std::uint32_t>(controls_.size());
-                        controls_.push_back({v, kNackMsgR});
-                        fanout_resilient(v, true, cid, gap_source_[v],
-                                         e.time + config_.delay);
-                        if (++nacks_n_[v] < recovery_->max_nacks) {
-                            // Re-arm under exponential backoff (the repair
-                            // or the next beacon may be lost too) — note
-                            // the post-increment exponent, vs the
-                            // pre-increment one on beacon receipt.
-                            nack_armed_[v] = 1;
-                            const double backoff =
-                                recovery_->nack_delay *
-                                std::pow(recovery_->backoff_factor,
-                                         static_cast<double>(nacks_n_[v]));
-                            push_revent(e.time + backoff, kRTimer, v, kNackTimerR);
-                        }
-                    }
-                    break;
-                }
-                case kRControl: {
-                    const NodeId v = e.node;
-                    if (!fsession_.node_up(v)) {
-                        ++r_suppressed_;
-                        break;
-                    }
-                    if (!recovery_on()) break;
-                    const RControl msg = controls_[e.payload];
-                    if (msg.kind == kBeaconMsgR) {
-                        if (received_[v]) break;  // nothing missing here
-                        gap_source_[v] = msg.sender;
-                        if (!nack_armed_[v] && nacks_n_[v] < recovery_->max_nacks) {
-                            nack_armed_[v] = 1;
-                            const double backoff =
-                                recovery_->nack_delay *
-                                std::pow(recovery_->backoff_factor,
-                                         static_cast<double>(nacks_n_[v]));
-                            push_revent(e.time + backoff, kRTimer, v, kNackTimerR);
-                        }
-                    } else {
-                        if (!received_[v]) break;  // stale NACK: no packet here
-                        if (repairs_n_[v] >= recovery_->retransmit_budget) break;
-                        ++repairs_n_[v];
-                        resend_resilient(v, e.time);
-                    }
-                    break;
-                }
-                default: break;
-            }
-        }
+        completion = std::max(completion, work_.back().time);
     }
 
+    for (const WheelScratch& ws : scratch_) {
+        result.delivered_events += ws.delivered;
+        r_suppressed_ += ws.suppressed;
+    }
     result.completion_time = completion;
-    result.order_digest = generic_digest_;
+    result.order_digest = tx_digest_;
     result.forward_count =
         static_cast<std::size_t>(std::count(forwarded_.begin(), forwarded_.end(), 1));
     result.received_count =
@@ -898,7 +718,7 @@ ScaleResult ScaleEngine::run_resilient(NodeId source) {
     result.retransmit_count = r_retransmit_;
     result.control_count = r_control_;
     result.fault_suppressed = r_suppressed_;
-    result.down = fsession_.down_mask();
+    if (faulted()) result.down = fsession_.down_mask();
     return result;
 }
 
@@ -907,17 +727,17 @@ ScaleResult ScaleEngine::run(NodeId source) {
         throw std::invalid_argument("ScaleEngine::run: source " + std::to_string(source) +
                                     " out of range for " + std::to_string(n) + " nodes");
     }
-    // Any attached plan (even an empty one) or armed recovery layer routes
-    // through the serial windowed replay — the reference machine's
-    // broadcast_resilient always runs with an active fault session, and
-    // byte-parity requires mirroring that mode exactly.
-    if (fault_plan_ != nullptr || recovery_on()) return run_resilient(source);
-    if (config_.policy == ScalePolicy::kGenericCoverage) return run_generic(source);
+    // Generic coverage, any attached plan (even an empty one) and an armed
+    // recovery layer take the exact-order pipeline: the reference machine's
+    // broadcast_resilient always runs with an active fault session, and a
+    // coverage decision reads the first copy in its (time, seq) order.
+    if (faulted() || config_.policy == ScalePolicy::kGenericCoverage) {
+        return run_exact(source);
+    }
 
     const std::size_t n = graph_->node_count();
     std::fill(received_.begin(), received_.end(), 0);
     std::fill(forwarded_.begin(), forwarded_.end(), 0);
-    std::fill(first_sender_.begin(), first_sender_.end(), kInvalidNode);
     for (Wheel& wheel : wheels_) wheel = Wheel{};
     for (std::vector<Staged>& bucket : prev_) bucket.clear();
     for (std::vector<Staged>& bucket : cur_) bucket.clear();
@@ -968,28 +788,22 @@ ScaleResult ScaleEngine::run(NodeId source) {
 }
 
 std::size_t ScaleEngine::state_bytes() const noexcept {
-    std::size_t bytes = received_.capacity() + forwarded_.capacity() +
-                        first_sender_.capacity() * sizeof(NodeId);
+    std::size_t bytes = received_.capacity() + forwarded_.capacity();
     for (const std::vector<Staged>& bucket : prev_) {
         bytes += bucket.capacity() * sizeof(Staged);
     }
     for (const std::vector<Staged>& bucket : cur_) {
         bytes += bucket.capacity() * sizeof(Staged);
     }
-    bytes += tx_rank_.capacity() * sizeof(std::uint32_t) +
-             best_key_.capacity() * sizeof(std::uint64_t) +
-             chain_.capacity() * sizeof(NodeId) +
-             chain_len_.capacity() * sizeof(std::uint32_t) +
-             merge_.capacity() * sizeof(std::pair<std::uint64_t, NodeId>);
     for (const WheelScratch& ws : scratch_) {
-        bytes += ws.fresh.capacity() * sizeof(NodeId) +
-                 ws.forwarders.capacity() * sizeof(NodeId) +
+        bytes += ws.actions.capacity() * sizeof(Action) +
                  ws.visited.capacity() * sizeof(NodeId) + ws.view.bytes();
     }
     for (const std::vector<REvent>& bucket : cal_) {
         bytes += bucket.capacity() * sizeof(REvent);
     }
-    bytes += work_.capacity() * sizeof(REvent) +
+    bytes += (work_.capacity() + spare_.capacity()) * sizeof(REvent) +
+             actions_.capacity() * sizeof(Action) +
              packets_.capacity() * sizeof(RPacket) +
              controls_.capacity() * sizeof(RControl) +
              r_chain_.capacity() * sizeof(NodeId) +
@@ -998,10 +812,7 @@ std::size_t ScaleEngine::state_bytes() const noexcept {
              nacks_n_.capacity() * sizeof(std::uint32_t) +
              nack_armed_.capacity() +
              gap_source_.capacity() * sizeof(NodeId) +
-             repairs_n_.capacity() * sizeof(std::uint32_t) +
-             pre_stamp_.capacity() * sizeof(std::uint32_t) +
-             pre_pkt_.capacity() * sizeof(std::uint32_t) +
-             pre_dec_.capacity();
+             repairs_n_.capacity() * sizeof(std::uint32_t);
     return bytes;
 }
 

@@ -22,24 +22,43 @@
 /// barrier publishes the window, the buffers swap, and the next window
 /// begins.
 ///
+/// That single phase serves kFlood and kSelfPrune without faults.  Every
+/// other run — generic coverage, and any run with a fault plan or the
+/// recovery layer — takes the *exact-order pipeline*, which reproduces the
+/// reference Simulator's (time, seq) pop order itself.
+///
 /// **Generic coverage at scale.**  `ScalePolicy::kGenericCoverage` runs the
 /// paper's coverage-condition decision (Sections 3-4) inside the windowed
 /// engine for the honorable axis subset — Static or First-Receipt timing ×
 /// self-pruning selection × k-hop views (k >= 1) × any priority/history/
 /// coverage knobs.  Under a collision-free uniform-delay medium a
 /// first-receipt self-pruning decision depends only on the *first received*
-/// transmission, so per-node protocol state collapses to the outgoing
-/// history chain (<= h node ids).  Each window the phase computes, per
-/// node, the minimum (sender transmission ordinal, adjacency index) receipt
-/// key — the exact (time, seq) pop order of the reference Simulator — and
-/// evaluates the coverage kernel of src/core/coverage.cpp over a compact
-/// local view compiled into per-wheel scratch by `KHopViewBuilder` (the
-/// Definition-2 construction in src/graph/khop.hpp, zero allocations in
-/// steady state).  A short serial step then ranks the window's new
-/// forwarders in receipt-key order, folds the order digest, and stages
-/// their fanout.  Result: forward set, counts,
-/// completion time and transmission-order digest byte-identical to the
-/// serial `Simulator` running `GenericAgent` with the same `GenericConfig`
+/// transmission, so the decision needs the node's first copy in the
+/// reference Simulator's (time, seq) order and nothing else.  The pipeline
+/// keeps a calendar of per-window event buckets and gives every event the
+/// insertion sequence the Simulator would give it, so a window sorted by
+/// (time, seq) IS the Simulator's pop order.  Each window then runs:
+///
+///   1. fault prefix (serial): the window's plan events; with
+///      `churn_updates_views` also the graph flaps and a key rebuild;
+///   2. per-wheel phase (parallel over wheels): each wheel walks the
+///      window's events in pop order and updates only its own nodes —
+///      first receipt, the forwarding verdict (the coverage kernel of
+///      src/core/coverage.cpp over a Definition-2 view compiled into
+///      per-wheel scratch by `KHopViewBuilder`), suppression at down nodes,
+///      and the recovery timers and repair budget — recording each push the
+///      Simulator would make as an action of that event;
+///   3. action step (serial): the recorded actions run in merged pop order:
+///      packet and history-chain entries, the transmission-order digest,
+///      link gating, counter-keyed loss draws and the insertion sequences;
+///   4. a fault that sorts after same-window traffic splits the window into
+///      two phases at its (time, seq).
+///
+/// This is sound because nothing a window's events push lands in the same
+/// window: deliveries land one delay later and recovery timers at aligned
+/// multiples of the delay.  Forward set, counts, completion time and
+/// transmission-order digest are byte-identical to the serial `Simulator`
+/// running `GenericAgent` with the same `GenericConfig`
 /// (tests/scale_engine_test.cpp proves it across seeds × wheels × jobs, and
 /// the fuzzer's scale oracle keeps proving it continuously).
 ///
@@ -49,29 +68,24 @@
 /// run) needs no invalidation: the next decision simply reads the flapped
 /// graph.
 ///
-/// The phase parallelizes over wheels with any number of worker threads;
-/// the result (counts, completion time, and the order digest) is
+/// Both pipelines parallelize over wheels with any number of worker
+/// threads; the result (counts, completion time, and the order digest) is
 /// byte-identical for every `jobs` value.
 ///
 /// **Faults at scale.**  `attach_faults` threads a `faults::FaultPlan`
 /// (crash/recover schedules, link churn, counter-based asymmetric loss)
 /// into the engine, and `set_recovery` arms a window-synchronous mirror of
 /// `faults::RecoveryAgent` (holder beacons, gap NACKs under bounded
-/// exponential backoff, budgeted repairs).  A faulted run switches to a
-/// serial windowed replay over per-window event buckets: every queue push
-/// the reference `Simulator` would perform is replicated with the same
-/// (time, insertion-sequence) order — fault events bucketed by
-/// ceil(time/delay) and applied before same-window deliveries, loss draws
-/// through the plan's own counter-based stream in the exact send order,
-/// recovery timers at window-aligned instants — so delivery sets, counters,
-/// outcome classification and the transmission-order digest are
-/// byte-identical to `Simulator::broadcast_resilient` AND invariant under
-/// (wheels x jobs).  Generic-coverage decisions, the expensive part, are
-/// pre-scanned in parallel over wheels (they are pure functions of state
-/// frozen at the window boundary); the serial pass then replays events in
-/// canonical order using the precomputed verdicts.  See docs/SCALING.md
-/// "Faults at scale" for the window-bucketing contract and the semantics
-/// delta of `ScaleConfig::churn_updates_views`.
+/// exponential backoff, budgeted repairs).  A faulted run is the same
+/// exact-order pipeline with a plan and/or recovery: fault events are
+/// bucketed by ceil(time/delay) and applied in their (time, seq) place,
+/// loss draws run through the plan's own counter-based stream in the exact
+/// send order, and recovery timers sit at window-aligned instants.
+/// Delivery sets, counters, outcome classification and the
+/// transmission-order digest are byte-identical to
+/// `Simulator::broadcast_resilient` AND invariant under (wheels x jobs).
+/// See docs/SCALING.md "Faults at scale" for the window-bucketing contract
+/// and the semantics delta of `ScaleConfig::churn_updates_views`.
 
 #pragma once
 
@@ -203,9 +217,11 @@ class ScaleEngine {
     /// (via `faults::validate_plan`) on a structurally invalid plan, and
     /// when the plan's horizon exceeds the engine's window calendar
     /// (`time / delay` past 2^20 windows).  Event times need not be
-    /// window-aligned: an event at time t is applied at the first window
-    /// boundary >= t, before that window's deliveries — exactly when the
-    /// reference Simulator, whose delivery instants are all boundaries,
+    /// window-aligned: an event at time t joins the window of the first
+    /// boundary >= t (times within 1e-9 relative of a boundary snap to
+    /// it) and applies at its (time, seq) place there — before the
+    /// window's deliveries when t is at or before the boundary, after them
+    /// when t is a hair past it — exactly when the reference Simulator
     /// would observe its effect.
     void attach_faults(const faults::FaultPlan* plan);
 
@@ -259,19 +275,29 @@ class ScaleEngine {
         NodeId sender;
     };
 
-    /// Per-wheel working set of the generic-coverage phase: window-local
-    /// first-receipt bookkeeping plus the view compile buffers.  All
-    /// buffers only grow — zero allocations per decision in steady state.
-    struct WheelScratch {
-        std::vector<NodeId> fresh;       ///< first receipts found this window
-        std::vector<NodeId> forwarders;  ///< subset of fresh that forwards
-        std::vector<NodeId> visited;     ///< decision-time visited set (<= h+1)
-        KHopViewBuilder view;            ///< Definition-2 CSR of the decider
+    /// The pushes one event's replay asks of the serial action step:
+    /// `ops` is a set of kOp* bits (scale_engine.cpp), run in a fixed order.
+    struct Action {
+        std::uint32_t event;  ///< index of the event in `work_`
+        std::uint32_t ops;
+        NodeId target;  ///< NACK recipient (kOpNack)
+        double when;    ///< timer instant (kOpArmBeacon / kOpArmNack)
     };
 
-    /// One replayed queue entry of the faulted plane.  `payload` indexes
-    /// the packet table (kDelivery), the control table (kControl), the
-    /// fault plan (kFault), or names the recovery timer kind (kTimer).
+    /// Per-wheel working set of the exact-order phase: the wheel's
+    /// recorded actions and counters plus the view compile buffers.  All
+    /// buffers only grow — zero allocations per decision in steady state.
+    struct WheelScratch {
+        std::vector<Action> actions;  ///< this phase's actions, in pop order
+        std::size_t delivered = 0;    ///< delivery events walked this run
+        std::size_t suppressed = 0;   ///< events eaten at down nodes this run
+        std::vector<NodeId> visited;  ///< decision-time visited set (<= h+1)
+        KHopViewBuilder view;         ///< Definition-2 CSR of the decider
+    };
+
+    /// One queue entry of the exact-order pipeline.  `payload` indexes the
+    /// packet table (kDelivery), the control table (kControl), the fault
+    /// plan (kFault), or names the recovery timer kind (kTimer).
     struct REvent {
         double time;
         std::uint64_t seq;  ///< replicated Simulator insertion sequence
@@ -279,8 +305,8 @@ class ScaleEngine {
         NodeId node;
         std::uint32_t payload;
     };
-    /// A replayed data packet: its sender plus the piggybacked history
-    /// chain (stored in the pooled `r_chain_`; empty for policies whose
+    /// A data packet: its sender plus the piggybacked history chain
+    /// (stored in the pooled `r_chain_`; empty for policies whose
     /// decisions never read packet state).
     struct RPacket {
         NodeId sender;
@@ -304,38 +330,43 @@ class ScaleEngine {
 
     void validate_generic_config() const;
     void flap(NodeId u, NodeId v, bool add);
-    [[nodiscard]] ScaleResult run_generic(NodeId source);
-    void scan_wheel_generic(std::size_t w);
-    [[nodiscard]] std::uint64_t receipt_key(NodeId sender, NodeId v) const noexcept;
-    /// The coverage decision shared by the fault-free and faulted planes:
-    /// true iff `v`, whose first received packet came from `sender`
-    /// carrying history `chain`, forwards.
+    /// The coverage decision: true iff `v`, whose first received packet
+    /// came from `sender` carrying history `chain`, forwards.
     [[nodiscard]] bool decide(WheelScratch& ws, NodeId v, NodeId sender,
                               std::span<const NodeId> chain);
-    /// Outgoing history chain entries piggybacked per transmission (0 when
-    /// the timing is static — children ignore broadcast state anyway).
-    [[nodiscard]] std::size_t chain_stride() const noexcept;
 
-    // ---- faulted windowed replay (run_resilient and helpers) ----------
-    [[nodiscard]] ScaleResult run_resilient(NodeId source);
+    // ---- exact-order pipeline (run_exact and helpers) -----------------
+    [[nodiscard]] ScaleResult run_exact(NodeId source);
+    /// The per-wheel phase: replays work_[lo, hi) for nodes
+    /// [first, first + count) and records their actions in `ws`.
+    void replay_wheel(WheelScratch& ws, std::size_t lo, std::size_t hi, NodeId first,
+                      std::size_t count);
+    /// The serial action step: runs `actions_` (merged, in pop order).
+    void run_actions();
+    void apply_fault(const faults::FaultEvent& fe);
     [[nodiscard]] std::size_t window_index(double time) const noexcept;
+    /// The calendar bucket of `time`'s window (grown on demand).
+    [[nodiscard]] std::vector<REvent>& bucket(double time);
     void push_revent(double time, std::uint32_t kind, NodeId node, std::uint32_t payload);
     /// Mirrors `Simulator::schedule_deliveries`: per-link fault gating and
     /// counter-based loss draws in sorted-adjacency order, one queued
     /// event (and one insertion sequence) per surviving link.
-    void fanout_resilient(NodeId sender, bool control, std::uint32_t payload,
-                          NodeId only_target, double next_time);
+    void fanout(NodeId sender, bool control, std::uint32_t payload,
+                NodeId only_target, double next_time);
     /// Mirrors `Simulator::transmit` for a node that decided to forward:
     /// digest fold, packet-table entry (chain derived from the first
     /// received packet under FR timing), fanout.
-    void transmit_resilient(NodeId v, double now);
-    void resend_resilient(NodeId v, double now);
+    void transmit(NodeId v, double now);
+    void resend(NodeId v, double now);
     /// Appends a packet (sender `v`, chain = last `history` of the first
     /// received chain + v, FR timing only) and returns its table index.
     [[nodiscard]] std::uint32_t make_packet(NodeId v, std::size_t history);
     [[nodiscard]] std::span<const NodeId> packet_chain(const RPacket& pkt) const noexcept;
     [[nodiscard]] bool recovery_on() const noexcept {
         return recovery_.has_value() && recovery_->enabled;
+    }
+    [[nodiscard]] bool faulted() const noexcept {
+        return fault_plan_ != nullptr || recovery_on();
     }
 
     const Graph* graph_;
@@ -347,8 +378,8 @@ class ScaleEngine {
     // locations (no false word-sharing races, unlike packed bitsets).
     std::vector<char> received_;
     std::vector<char> forwarded_;
-    std::vector<NodeId> first_sender_;
 
+    // ---- kFlood/kSelfPrune fault-free phase (process_wheel) -----------
     struct Wheel {
         std::size_t delivered = 0;
         double last_time = 0.0;
@@ -357,8 +388,7 @@ class ScaleEngine {
     std::vector<Wheel> wheels_;
     /// Double-buffered staging matrix, indexed [src * wheels + dst].
     /// `prev_` holds the current window's deliveries (read-only during the
-    /// phase); the phase (kFlood/kSelfPrune) or the serial rank step
-    /// (kGenericCoverage) stages the next window into `cur_`.  Swapped
+    /// phase); the phase stages the next window into `cur_`.  Swapped
     /// between windows; capacity is kept.
     std::vector<std::vector<Staged>> prev_;
     std::vector<std::vector<Staged>> cur_;
@@ -367,22 +397,18 @@ class ScaleEngine {
     PriorityKeys keys_;       ///< static priority keys of the current graph
     bool keys_stale_ = false;  ///< a flap changed degrees/ncr: rebuild lazily
     std::optional<Graph> churn_graph_;  ///< mutable copy, made on the first flap
-    std::vector<std::uint32_t> tx_rank_;   ///< global transmission ordinal
-    std::vector<std::uint64_t> best_key_;  ///< min receipt key this window
-    std::vector<NodeId> chain_;            ///< outgoing history, stride h
-    std::vector<std::uint32_t> chain_len_;
-    std::vector<WheelScratch> scratch_;  ///< one per wheel
-    std::vector<std::pair<std::uint64_t, NodeId>> merge_;  ///< serial rank sort
-    std::uint64_t generic_digest_ = 0;
-    std::uint32_t next_rank_ = 0;
 
-    // ---- faulted plane state ------------------------------------------
+    // ---- exact-order pipeline state -----------------------------------
+    std::vector<WheelScratch> scratch_;  ///< one per wheel
+    std::vector<Action> actions_;        ///< a phase's actions, merged across wheels
+    std::uint64_t tx_digest_ = 0;        ///< global transmission-order digest
     const faults::FaultPlan* fault_plan_ = nullptr;
     std::optional<faults::RecoveryConfig> recovery_;
     faults::FaultSession fsession_;
-    faults::FaultPlan empty_plan_;  ///< session target when recovery runs planless
+    faults::FaultPlan empty_plan_;  ///< session target for planless runs
     std::vector<std::vector<REvent>> cal_;  ///< window calendar buckets
     std::vector<REvent> work_;              ///< bucket being drained
+    std::vector<REvent> spare_;             ///< a drained bucket, for reuse
     std::vector<RPacket> packets_;
     std::vector<RControl> controls_;
     std::vector<NodeId> r_chain_;  ///< pooled packet history chains (FR only)
@@ -391,18 +417,13 @@ class ScaleEngine {
     std::size_t r_retransmit_ = 0;
     std::size_t r_control_ = 0;
     std::size_t r_suppressed_ = 0;
-    // Per-node recovery-mirror state (holder status is `received_`).
-    std::vector<std::uint32_t> held_pkt_;  ///< first received packet (repairs)
+    // Per-node pipeline state (holder status is `received_`).
+    std::vector<std::uint32_t> held_pkt_;  ///< first received packet
     std::vector<std::uint32_t> beacons_n_;
     std::vector<std::uint32_t> nacks_n_;
     std::vector<char> nack_armed_;
     std::vector<NodeId> gap_source_;
     std::vector<std::uint32_t> repairs_n_;
-    // Parallel decision pre-scan bookkeeping.
-    std::vector<std::uint32_t> pre_stamp_;
-    std::vector<std::uint32_t> pre_pkt_;
-    std::vector<char> pre_dec_;
-    std::uint32_t pre_epoch_ = 0;
 };
 
 }  // namespace adhoc

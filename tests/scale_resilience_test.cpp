@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "algorithms/flooding.hpp"
@@ -77,6 +79,18 @@ FaultPlan lossy_plan(const Graph& g, NodeId source, std::uint64_t seed) {
     spec.asymmetry_rate = 0.5;
     spec.asymmetry_loss_max = 0.9;
     return faults::make_fault_plan(spec, g, source, seed, 2);
+}
+
+/// The churn plan with every event moved just past an integer instant w.
+/// The engine snaps w * (1 + 1e-12) into window w, but the event pops after
+/// that window's deliveries and timers (all at exactly w), so it splits the
+/// window instead of joining its fault prefix.
+FaultPlan late_plan(const Graph& g, NodeId source, std::uint64_t seed) {
+    FaultPlan plan = churn_plan(g, source, seed);
+    for (faults::FaultEvent& e : plan.events) {
+        e.time = std::max(1.0, std::round(e.time)) * (1.0 + 1e-12);
+    }
+    return plan;
 }
 
 /// Sim-side twin of ScalePolicy::kSelfPrune: on first receipt, forward iff
@@ -224,9 +238,10 @@ TEST(ScaleResilience, GenericStaticMatchesResilientSimulator) {
                            &gc, plan, aligned_recovery());
 }
 
-TEST(ScaleResilience, GenericPrescanMatchesResilientSimulatorAboveDecisionGate) {
-    // Dense and large enough that windows cross the decision gate, so
-    // jobs=4 pre-scans each window's coverage decisions on the worker crew.
+TEST(ScaleResilience, CrewPhaseMatchesResilientSimulatorAboveDecisionGate) {
+    // Dense and large enough that windows cross the fan-out gate, so jobs=4
+    // runs each window's per-wheel phase on the worker crew: coverage
+    // decisions for the generic policies, bare first receipts for flooding.
     const UnitDiskNetwork net = make_network(1500, 3, 10.0);
     FaultSpec spec;  // few plan events, so the peak bound below stays tight
     spec.crash_rate = 0.03;
@@ -244,6 +259,35 @@ TEST(ScaleResilience, GenericPrescanMatchesResilientSimulatorAboveDecisionGate) 
         EXPECT_GE((r.peak_queue_events - plan.events.size()) * ScaleEngine::kDecisionWeight,
                   ScaleEngine::kParallelWindow)
             << "peak " << r.peak_queue_events << " plan " << plan.events.size();
+    }
+    // Flooding decides nothing, so its windows need kParallelWindow events
+    // themselves to fan out.
+    const FloodingAlgorithm flood;
+    const ScaleResult r = expect_resilient_match(flood, net.graph, 0, ScalePolicy::kFlood,
+                                                 nullptr, plan, recovery_off());
+    ASSERT_GT(r.peak_queue_events, plan.events.size());
+    EXPECT_GE(r.peak_queue_events - plan.events.size(), ScaleEngine::kParallelWindow)
+        << "peak " << r.peak_queue_events << " plan " << plan.events.size();
+}
+
+TEST(ScaleResilience, LateFaultSplitsWindowMatchesResilientSimulator) {
+    // Every plan event pops after the deliveries of its own window, so the
+    // engine must split those windows at the event's (time, seq) rather
+    // than apply it ahead of the window's traffic.
+    const FloodingAlgorithm flood;
+    const GenericConfig gc = generic_fr_config(2);
+    const GenericBroadcast generic(gc, "Generic FR");
+    for (const std::uint64_t seed : {0x1a7eULL, 0x2b8fULL}) {
+        const UnitDiskNetwork net = make_network(140, seed);
+        const NodeId source = static_cast<NodeId>(seed % net.graph.node_count());
+        const FaultPlan plan = late_plan(net.graph, source, seed);
+        ASSERT_FALSE(plan.events.empty());
+        const ScaleResult r = expect_resilient_match(flood, net.graph, source,
+                                                     ScalePolicy::kFlood, nullptr, plan,
+                                                     aligned_recovery());
+        EXPECT_LT(plan.events.front().time, r.completion_time);  // lands mid-run
+        expect_resilient_match(generic, net.graph, source, ScalePolicy::kGenericCoverage,
+                               &gc, plan, aligned_recovery());
     }
 }
 
