@@ -172,6 +172,7 @@ void write_json(std::ostream& out, const ScaleOptions& opts, const std::vector<R
             << ", \"peak_queue_events\": " << r.result.peak_queue_events
             << ", \"completion_time\": " << r.result.completion_time
             << ", \"order_digest\": \"" << digest << "\""
+            << ", \"view_compiles\": " << r.result.view_compiles
             << ", \"engine_bytes_per_node\": " << r.engine_bytes_per_node
             << ", \"wall_seconds\": " << r.wall_seconds
             << ", \"events_per_sec\": " << r.events_per_sec

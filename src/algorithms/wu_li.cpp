@@ -8,14 +8,6 @@ namespace adhoc {
 
 namespace {
 
-/// True iff every neighbor of v is in N[u] (u itself or adjacent to u).
-bool neighbors_covered_by(const Graph& g, NodeId v, NodeId u) {
-    for (NodeId x : g.neighbors(v)) {
-        if (x != u && !g.has_edge(x, u)) return false;
-    }
-    return true;
-}
-
 /// True iff every neighbor of v is in N[u] ∪ N[w].
 bool neighbors_covered_by_pair(const Graph& g, NodeId v, NodeId u, NodeId w) {
     for (NodeId x : g.neighbors(v)) {

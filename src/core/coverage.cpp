@@ -311,6 +311,20 @@ CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s, std::uint32_t lv
     return {.covered = true};
 }
 
+bool covered_without_view(const Graph& g, NodeId v, const Priority& pv,
+                          const PriorityKeys& keys, std::span<const NodeId> visited,
+                          bool rule1) {
+    const auto nv = g.neighbors(v);
+    if (nv.size() <= 1) return true;
+    if (!rule1) return false;
+    for (const NodeId u : nv) {
+        const bool is_visited = std::find(visited.begin(), visited.end(), u) != visited.end();
+        const NodeStatus st = is_visited ? NodeStatus::kVisited : NodeStatus::kUnvisited;
+        if (keys.evaluate(u, st) > pv && neighbors_covered_by(g, v, u)) return true;
+    }
+    return false;
+}
+
 CoverageOutcome evaluate_coverage(const View& view, NodeId v, const CoverageOptions& opts,
                                   NodeStatus self_status) {
     assert(view.visible(v));

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/compact_view.hpp"
@@ -88,6 +89,27 @@ struct CoverageOutcome {
                                                          std::uint32_t local_v,
                                                          const Priority& pv,
                                                          const CoverageOptions& opts);
+
+/// The coverage condition's special cases that need no view (PAPER.md §1
+/// item 5).  True iff `v` is covered because it has at most one neighbor
+/// (no pair to connect), or — only when `rule1` — because some neighbor u
+/// with Pr(u) > `pv` is adjacent to every other neighbor of v (Wu–Li's
+/// Rule 1: u is the lone intermediate of every replacement path).  u's
+/// status is kVisited iff it is in `visited`, else kUnvisited.  A false
+/// result decides nothing: the view must be built.
+[[nodiscard]] bool covered_without_view(const Graph& g, NodeId v, const Priority& pv,
+                                        const PriorityKeys& keys,
+                                        std::span<const NodeId> visited, bool rule1);
+
+/// True iff a Rule-1 hit of `covered_without_view` implies that
+/// `evaluate_coverage` over v's k-hop view (Definition 2) with `opts`
+/// returns covered: the links among v's neighbors must be visible
+/// (`hops >= 2`) and a path must be allowed one intermediate node
+/// (`max_path_hops` unbounded or >= 2).  The leaf case needs no gate.
+[[nodiscard]] constexpr bool rule1_implies_coverage(std::size_t hops,
+                                                    const CoverageOptions& opts) noexcept {
+    return hops >= 2 && opts.max_path_hops != 1;
+}
 
 /// Connected components of the subgraph induced on nodes with priority
 /// strictly greater than `threshold`, with all visited nodes merged into a

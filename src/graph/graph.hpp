@@ -108,6 +108,22 @@ class Graph {
     std::size_t edge_count_ = 0;
 };
 
+/// True iff every neighbor of `v` is `u` itself or a neighbor of `u`:
+/// N(v) ⊆ N(u) ∪ {u}, one merge over two sorted rows.  This is the
+/// self-pruning test (v is covered by its sender u) and, with Pr(u) >
+/// Pr(v), Wu–Li's Rule 1.  Inline: the engine's self-pruning path calls
+/// it once per delivery.
+[[nodiscard]] inline bool neighbors_covered_by(const Graph& g, NodeId v, NodeId u) noexcept {
+    const auto nu = g.neighbors(u);
+    auto it = nu.begin();
+    for (const NodeId x : g.neighbors(v)) {
+        if (x == u) continue;
+        while (it != nu.end() && *it < x) ++it;
+        if (it == nu.end() || *it != x) return false;
+    }
+    return true;
+}
+
 /// Builds the complete graph K_n.
 [[nodiscard]] Graph complete_graph(std::size_t n);
 

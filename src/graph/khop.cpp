@@ -1,6 +1,7 @@
 #include "graph/khop.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "graph/traversal.hpp"
@@ -56,58 +57,86 @@ void compile_topology(LocalTopology& topo) {
 
 void KHopViewBuilder::compile(const Graph& g, NodeId v, std::size_t k) {
     assert(k >= 1 && g.contains(v));
-    const std::size_t n = g.node_count();
-    if (stamp.size() < n) {
-        stamp.resize(n, 0);
-        dist.resize(n);
-        g2l.resize(n);
+    if (slots.empty()) {
+        slots.assign(kInitialSlots, Slot{});
+        shift_ = 64 - static_cast<unsigned>(std::countr_zero(kInitialSlots));
     }
     if (++epoch == 0) {  // wrap: invalidate everything once
-        std::fill(stamp.begin(), stamp.end(), 0);
+        for (Slot& s : slots) s.stamp = 0;
         epoch = 1;
     }
+    // Visible links are exactly those with an inner end (within k - 1
+    // hops), and every neighbor of an inner node is a member.  So an inner
+    // row is its whole adjacency row, and a depth-k row holds the inner
+    // nodes that list it.  Only inner rows are ever read.
     bfs.clear();
     bfs.push_back(v);
-    stamp[v] = epoch;
-    dist[v] = 0;
-    for (std::size_t head = 0; head < bfs.size(); ++head) {
-        const NodeId x = bfs[head];
-        if (dist[x] == k) continue;
-        for (NodeId y : g.neighbors(x)) {
-            if (stamp[y] == epoch) continue;
-            stamp[y] = epoch;
-            dist[y] = static_cast<std::uint16_t>(dist[x] + 1);
+    slots[probe(v)] = {v, epoch, 0, kInner};
+    // The queue is in level order: `depth` is bfs[head]'s distance, and
+    // the first node at depth k ends the expansion.
+    std::uint32_t depth = 0;
+    for (std::size_t head = 0, level_end = 1; head < bfs.size(); ++head) {
+        if (head == level_end) {
+            ++depth;
+            level_end = bfs.size();
+        }
+        if (depth == k) break;
+        for (NodeId y : g.neighbors(bfs[head])) {
+            Slot& s = slots[probe(y)];
+            if (s.stamp == epoch) {
+                if (s.links != kInner) ++s.links;  // one more inner neighbor
+                continue;
+            }
+            s = {y, epoch, 0, depth + 1 < k ? kInner : 1};
             bfs.push_back(y);
+            if (2 * bfs.size() > slots.size()) grow();
         }
     }
     members.assign(bfs.begin(), bfs.end());
     std::sort(members.begin(), members.end());
     const auto m = static_cast<std::uint32_t>(members.size());
-    for (std::uint32_t i = 0; i < m; ++i) g2l[members[i]] = i;
+    inner.resize(m);
     offsets.resize(m + 1);
-    edges.clear();
-    // Both ends being members bounds max(dist) at k already; only the
-    // k-to-k links need dropping.
-    const std::size_t interior = k - 1;
+    offsets[0] = 0;
     for (std::uint32_t i = 0; i < m; ++i) {
-        offsets[i] = static_cast<std::uint32_t>(edges.size());
-        const NodeId a = members[i];
-        const bool a_interior = dist[a] <= interior;
-        for (NodeId b : g.neighbors(a)) {
-            if (stamp[b] != epoch) continue;                  // outside the ball
-            if (!a_interior && dist[b] > interior) continue;  // k-to-k link
-            edges.push_back(g2l[b]);
-        }
+        Slot& s = slots[probe(members[i])];
+        s.local = i;
+        inner[i] = s.links == kInner;
+        const std::size_t size = inner[i] ? g.degree(members[i]) : s.links;
+        offsets[i + 1] = offsets[i] + static_cast<std::uint32_t>(size);
     }
-    offsets[m] = static_cast<std::uint32_t>(edges.size());
+    // Fill with offsets[i] as row i's write cursor (inner rows in order,
+    // so each depth-k row receives its inner neighbors ascending), then
+    // shift the cursors, now row ends, back into row starts.
+    edges.resize(offsets[m]);
+    for (std::uint32_t i = 0; i < m; ++i) {
+        if (!inner[i]) continue;
+        std::uint32_t at = offsets[i];
+        for (NodeId b : g.neighbors(members[i])) {
+            const Slot& s = slots[probe(b)];
+            edges[at++] = s.local;
+            if (s.links != kInner) edges[offsets[s.local]++] = i;
+        }
+        offsets[i] = at;
+    }
+    for (std::uint32_t i = m; i > 0; --i) offsets[i] = offsets[i - 1];
+    offsets[0] = 0;
+}
+
+void KHopViewBuilder::grow() {
+    std::vector<Slot> old(2 * slots.size(), Slot{});  // stamp 0: all free
+    old.swap(slots);
+    --shift_;
+    for (const Slot& s : old) {
+        if (s.stamp == epoch) slots[probe(s.node)] = s;
+    }
 }
 
 std::size_t KHopViewBuilder::bytes() const noexcept {
     return members.capacity() * sizeof(NodeId) +
            offsets.capacity() * sizeof(std::uint32_t) +
            edges.capacity() * sizeof(std::uint32_t) + bfs.capacity() * sizeof(NodeId) +
-           dist.capacity() * sizeof(std::uint16_t) +
-           stamp.capacity() * sizeof(std::uint32_t) + g2l.capacity() * sizeof(std::uint32_t);
+           slots.capacity() * sizeof(Slot) + inner.capacity();
 }
 
 LocalTopology local_topology(const Graph& g, NodeId v, std::size_t k) {

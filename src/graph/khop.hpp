@@ -42,28 +42,49 @@ struct CompactTopology {
 /// center to depth k that emits G_k(v) straight into CSR form over dense
 /// local ids, in O(ball edges).  Members are every node within k hops,
 /// sorted ascending (local id = position); link (a, b) between two members
-/// is visible iff min(dist(a), dist(b)) <= k - 1.  Epoch stamps validate
-/// `dist`/`g2l` without an O(n) clear per view, and every buffer only
-/// grows, so steady-state compiles allocate nothing.  One builder per
-/// thread: `compile` mutates it.
+/// is visible iff min(dist(a), dist(b)) <= k - 1.  Only the adjacency rows
+/// of *inner* members (within k - 1 hops) are read: each is visible whole,
+/// and a depth-k member's row is the inner members that list it.
+///
+/// Per-member state (local id, inner or not) lives in `slots`, a
+/// linear-probing map keyed by global id and sized to the ball, not to the
+/// graph: it starts at `kInitialSlots` and doubles whenever the ball fills
+/// half of it.  A slot is live iff its stamp equals `epoch`, so a compile
+/// starts by bumping the epoch instead of clearing the table.  Every buffer
+/// only grows, so steady-state compiles allocate nothing and the builder
+/// holds O(largest ball) bytes whatever n is.  One builder per thread:
+/// `compile` mutates it.
 struct KHopViewBuilder {
     // Output of the last `compile`.
     std::vector<NodeId> members;         ///< ascending global ids
     std::vector<std::uint32_t> offsets;  ///< CSR rows, size members+1
     std::vector<std::uint32_t> edges;    ///< CSR columns (local ids), ascending per row
 
-    // Scratch, sized to the largest graph seen.
-    std::vector<NodeId> bfs;           ///< BFS queue / discovery order
-    std::vector<std::uint16_t> dist;   ///< hop distance from the center
-    std::vector<std::uint32_t> stamp;  ///< epoch stamps validating dist/g2l
-    std::vector<std::uint32_t> g2l;    ///< global -> local id
+    /// A ball member's entry in the map (live iff `stamp == epoch`).
+    struct Slot {
+        NodeId node;
+        std::uint32_t stamp;  ///< 0 never matches: `epoch` skips it
+        std::uint32_t local;  ///< local id (position in `members`)
+        /// kInner for a member within k - 1 hops; for one at depth k, the
+        /// number of inner neighbors (its visible degree).
+        std::uint32_t links;
+    };
+    static constexpr std::uint32_t kInner = 0xffffffffu;
+    static constexpr std::size_t kInitialSlots = 64;  ///< a power of two
+
+    // Scratch, sized to the largest ball seen.
+    std::vector<NodeId> bfs;   ///< BFS queue / discovery order
+    std::vector<Slot> slots;   ///< the ball map; size a power of two
+    std::vector<char> inner;   ///< per local id: within k - 1 hops
     std::uint32_t epoch = 0;
 
     /// Builds G_k(v) of `g` into `members`/`offsets`/`edges`.  k >= 1.
     void compile(const Graph& g, NodeId v, std::size_t k);
 
     /// Local id of `u`; valid only for members of the last compile.
-    [[nodiscard]] std::uint32_t local_of(NodeId u) const noexcept { return g2l[u]; }
+    [[nodiscard]] std::uint32_t local_of(NodeId u) const noexcept {
+        return slots[probe(u)].local;
+    }
 
     /// Local neighbor row of local node `i`.
     [[nodiscard]] std::span<const std::uint32_t> row(std::uint32_t i) const noexcept {
@@ -72,6 +93,20 @@ struct KHopViewBuilder {
 
     /// Heap bytes held by the builder (capacities, not sizes).
     [[nodiscard]] std::size_t bytes() const noexcept;
+
+  private:
+    /// The slot holding `u` if it is live, else the free slot where `u`
+    /// would go (Fibonacci hash, then linear probing).
+    [[nodiscard]] std::size_t probe(NodeId u) const noexcept {
+        const std::size_t mask = slots.size() - 1;
+        std::size_t i = (std::uint64_t{u} * 0x9e3779b97f4a7c15ULL) >> shift_;
+        while (slots[i].stamp == epoch && slots[i].node != u) i = (i + 1) & mask;
+        return i;
+    }
+    /// Doubles `slots`, re-inserting the live entries.
+    void grow();
+
+    unsigned shift_ = 64;  ///< 64 - log2(slots.size())
 };
 
 /// Local topology per Definition 2.

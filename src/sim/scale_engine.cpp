@@ -227,20 +227,6 @@ void ScaleEngine::add_edge(NodeId u, NodeId v) { flap(u, v, true); }
 
 void ScaleEngine::remove_edge(NodeId u, NodeId v) { flap(u, v, false); }
 
-bool ScaleEngine::covered_by(NodeId v, NodeId u) const noexcept {
-    // True iff every neighbor of v is u itself or a neighbor of u — the
-    // self-pruning test over two sorted adjacency rows.
-    const auto nv = graph_->neighbors(v);
-    const auto nu = graph_->neighbors(u);
-    auto it = nu.begin();
-    for (NodeId x : nv) {
-        if (x == u) continue;
-        while (it != nu.end() && *it < x) ++it;
-        if (it == nu.end() || *it != x) return false;
-    }
-    return true;
-}
-
 void ScaleEngine::process_wheel(std::size_t w) {
     Wheel& wheel = wheels_[w];
     const std::size_t wheel_count = config_.wheels;
@@ -257,8 +243,8 @@ void ScaleEngine::process_wheel(std::size_t w) {
             wheel.digest = mix(wheel.digest, (std::uint64_t{v} << 32) | e.sender);
             if (received_[v]) continue;  // duplicate copy: snooped, not re-decided
             received_[v] = 1;
-            const bool forward =
-                config_.policy == ScalePolicy::kFlood || !covered_by(v, e.sender);
+            const bool forward = config_.policy == ScalePolicy::kFlood ||
+                                 !neighbors_covered_by(*graph_, v, e.sender);
             if (!forward) continue;
             forwarded_[v] = 1;
             const double next_time = e.time + config_.delay;
@@ -285,6 +271,15 @@ bool ScaleEngine::decide(WheelScratch& ws, NodeId v, NodeId sender,
         }
     }
 
+    const Priority pv = keys_.evaluate(v, NodeStatus::kUnvisited);
+    // The view-free special cases settle many verdicts outright; only the
+    // rest compile a view.
+    if (covered_without_view(*graph_, v, pv, keys_, ws.visited,
+                             rule1_implies_coverage(gc.hops, gc.coverage))) {
+        return false;
+    }
+
+    ++ws.compiles;
     KHopViewBuilder& b = ws.view;
     b.compile(*graph_, v, gc.hops);
     LocalViewScratch& s = LocalViewScratch::tls();
@@ -307,7 +302,6 @@ bool ScaleEngine::decide(WheelScratch& ws, NodeId v, NodeId sender,
         s.compact.status[i] = st;
         s.compact.priority[i] = keys_.evaluate(x, st);
     }
-    const Priority pv = keys_.evaluate(v, NodeStatus::kUnvisited);
     return !evaluate_coverage_compiled(s, b.local_of(v), pv, gc.coverage).covered;
 }
 
@@ -519,7 +513,7 @@ void ScaleEngine::replay_wheel(WheelScratch& ws, std::size_t lo, std::size_t hi,
             }
             bool forward = true;
             if (config_.policy == ScalePolicy::kSelfPrune) {
-                forward = !covered_by(v, pkt.sender);
+                forward = !neighbors_covered_by(*graph_, v, pkt.sender);
             } else if (config_.policy == ScalePolicy::kGenericCoverage) {
                 forward = decide(ws, v, pkt.sender, packet_chain(pkt));
             }
@@ -611,7 +605,7 @@ ScaleResult ScaleEngine::run_exact(NodeId source) {
         gap_source_.assign(n, kInvalidNode);
         repairs_n_.assign(n, 0);
     }
-    for (WheelScratch& ws : scratch_) ws.delivered = ws.suppressed = 0;
+    for (WheelScratch& ws : scratch_) ws.delivered = ws.suppressed = ws.compiles = 0;
 
     const bool generic = config_.policy == ScalePolicy::kGenericCoverage;
     const auto refresh_keys = [&] {  // a flap changed degrees/NCR
@@ -706,6 +700,7 @@ ScaleResult ScaleEngine::run_exact(NodeId source) {
 
     for (const WheelScratch& ws : scratch_) {
         result.delivered_events += ws.delivered;
+        result.view_compiles += ws.compiles;
         r_suppressed_ += ws.suppressed;
     }
     result.completion_time = completion;

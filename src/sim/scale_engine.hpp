@@ -43,11 +43,15 @@
 ///      `churn_updates_views` also the graph flaps and a key rebuild;
 ///   2. per-wheel phase (parallel over wheels): each wheel walks the
 ///      window's events in pop order and updates only its own nodes —
-///      first receipt, the forwarding verdict (the coverage kernel of
-///      src/core/coverage.cpp over a Definition-2 view compiled into
-///      per-wheel scratch by `KHopViewBuilder`), suppression at down nodes,
+///      first receipt, the forwarding verdict, suppression at down nodes,
 ///      and the recovery timers and repair budget — recording each push the
-///      Simulator would make as an action of that event;
+///      Simulator would make as an action of that event.  A verdict first
+///      tries the view-free special cases of the coverage condition
+///      (`covered_without_view`: a leaf, or Wu–Li's Rule 1 where
+///      `rule1_implies_coverage` holds), which can only say "pruned" —
+///      the kernel's own verdict.  Only the remaining decisions run the
+///      coverage kernel of src/core/coverage.cpp over a Definition-2 view
+///      compiled into per-wheel scratch by `KHopViewBuilder`;
 ///   3. action step (serial): the recorded actions run in merged pop order:
 ///      packet and history-chain entries, the transmission-order digest,
 ///      link gating, counter-keyed loss draws and the insertion sequences;
@@ -62,8 +66,9 @@
 /// (tests/scale_engine_test.cpp proves it across seeds × wheels × jobs, and
 /// the fuzzer's scale oracle keeps proving it continuously).
 ///
-/// Every decision compiles its view from the current graph, O(ball edges)
-/// with no standing per-node memory, so topology churn (`add_edge`/
+/// Every decision reads the current graph — the shortcut its rows, the
+/// compile its ball in O(ball edges) into scratch sized to the ball, not to
+/// n — with no standing per-node memory, so topology churn (`add_edge`/
 /// `remove_edge` between runs, or `churn_updates_views` inside a faulted
 /// run) needs no invalidation: the next decision simply reads the flapped
 /// graph.
@@ -116,7 +121,7 @@ enum class ScalePolicy {
 };
 
 /// Source-compatibility shim with a single value.  The engine has one view
-/// backend (a per-decision `KHopViewBuilder` compile into per-wheel
+/// backend (a `KHopViewBuilder` compile into per-wheel
 /// scratch) and never reads `ScaleConfig::view_mode`; the enum and field
 /// stay only so callers that still assign `kScratch` keep compiling.
 enum class ScaleViewMode {
@@ -173,6 +178,11 @@ struct ScaleResult {
     std::size_t control_count = 0;     ///< beacons + NACKs sent
     std::size_t fault_suppressed = 0;  ///< deliveries/timers/links eaten by faults
     std::vector<char> down;            ///< nodes down at end of run (empty: no faults)
+
+    /// kGenericCoverage: decisions that compiled a Definition-2 view, i.e.
+    /// were not settled by the leaf/Rule-1 shortcut (0 for the other
+    /// policies).  Summed over wheels; identical at any `jobs`.
+    std::size_t view_compiles = 0;
 };
 
 /// The generic-policy order digest computed from a reference `Simulator`
@@ -291,6 +301,7 @@ class ScaleEngine {
         std::vector<Action> actions;  ///< this phase's actions, in pop order
         std::size_t delivered = 0;    ///< delivery events walked this run
         std::size_t suppressed = 0;   ///< events eaten at down nodes this run
+        std::size_t compiles = 0;     ///< views compiled this run
         std::vector<NodeId> visited;  ///< decision-time visited set (<= h+1)
         KHopViewBuilder view;         ///< Definition-2 CSR of the decider
     };
@@ -326,7 +337,6 @@ class ScaleEngine {
                deliveries * (decides ? kDecisionWeight : 1) >= kParallelWindow;
     }
     void process_wheel(std::size_t w);
-    [[nodiscard]] bool covered_by(NodeId v, NodeId u) const noexcept;
 
     void validate_generic_config() const;
     void flap(NodeId u, NodeId v, bool add);

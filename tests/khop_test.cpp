@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -17,6 +18,7 @@
 
 #include "graph/traversal.hpp"
 #include "graph/unit_disk.hpp"
+#include "stats/rng.hpp"
 
 namespace adhoc {
 namespace {
@@ -262,6 +264,52 @@ TEST(KHopViewBuilder, SurvivesEpochWraparound) {
         expect_builder_matches(builder, oracle_view(g, v, 2),
                                "after wrap, view " + std::to_string(v));
     }
+}
+
+TEST(KHopViewBuilder, BallMapGrowsPastItsInitialTable) {
+    // A star's center sees every leaf at k = 1: a ball of 201 members
+    // overflows the initial 64-slot table several times over.
+    const Graph star = star_graph(201);
+    KHopViewBuilder builder;
+    builder.compile(star, 0, 1);
+    expect_builder_matches(builder, oracle_view(star, 0, 1), "star center");
+    EXPECT_GE(builder.slots.size(), 2 * builder.members.size());
+    EXPECT_GT(builder.slots.size(), KHopViewBuilder::kInitialSlots);
+    // The grown table keeps serving small balls and big ones, in any order.
+    for (const NodeId v : {NodeId{5}, NodeId{0}, NodeId{200}}) {
+        for (const std::size_t k : {1u, 2u}) {
+            builder.compile(star, v, k);
+            expect_builder_matches(builder, oracle_view(star, v, k),
+                                   "star view " + std::to_string(v) + " k=" + std::to_string(k));
+        }
+    }
+}
+
+TEST(KHopViewBuilder, BytesFollowTheBallNotTheGraph) {
+    // bench_scale's constant-density placement at n = 10^5 (degree ~6).
+    const std::size_t n = 100'000;
+    Rng rng(0xba11);
+    std::vector<Point2D> positions(n);
+    for (Point2D& p : positions) p = {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)};
+    const Graph g = unit_disk_graph(positions, std::sqrt(6.0 * 1e6 / (3.14159265 * n)));
+    KHopViewBuilder builder;
+    std::size_t largest_ball = 0;
+    std::size_t largest_edges = 0;
+    for (NodeId v = 0; v < n; v += 97) {
+        builder.compile(g, v, 2);
+        largest_ball = std::max(largest_ball, builder.members.size());
+        largest_edges = std::max(largest_edges, builder.edges.size());
+    }
+    // Every buffer is O(largest view): the map holds at most 4 slots per
+    // member (it doubles past half full); vector growth leaves at most
+    // twice the largest ball in members/offsets/bfs/inner and twice the
+    // largest edge count in edges.  n-sized scratch would be >= n bytes.
+    const std::size_t slots = std::max(4 * largest_ball, KHopViewBuilder::kInitialSlots);
+    const std::size_t bound = slots * sizeof(KHopViewBuilder::Slot) +
+                              2 * (largest_ball + 1) * (3 * sizeof(NodeId) + 1) +
+                              2 * largest_edges * sizeof(std::uint32_t);
+    EXPECT_LE(builder.bytes(), bound) << "largest ball " << largest_ball;
+    EXPECT_LT(builder.bytes(), n) << "largest ball " << largest_ball;
 }
 
 TEST(KHop, LocalTopologyCompactEqualsCompileTopology) {

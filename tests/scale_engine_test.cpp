@@ -257,7 +257,23 @@ TEST(ScaleEngineGeneric, KnobVariationsMatchSimulator) {
     GenericConfig by_id = generic_fr_config(2, PriorityScheme::kId);
     GenericConfig strong = generic_fr_config(2);
     strong.coverage.strong = true;
-    for (const GenericConfig& gc : {hops3, no_history, long_history, by_id, strong}) {
+    std::vector<GenericConfig> configs{hops3, no_history, long_history, by_id, strong};
+    // The knobs that gate the view-free Rule-1 shortcut: it must stay off
+    // at hops = 1 and max_path_hops = 1, and may fire everywhere else.
+    configs.push_back(generic_static_config(1));
+    configs.push_back(generic_fr_config(1));
+    for (const std::size_t max_hops : {1u, 2u, 3u}) {
+        GenericConfig bounded = generic_fr_config(2);
+        bounded.coverage.max_path_hops = max_hops;
+        configs.push_back(bounded);
+    }
+    GenericConfig radius1 = generic_fr_config(2);
+    radius1.coverage.coverage_radius = 1;
+    configs.push_back(radius1);
+    GenericConfig unmerged = generic_fr_config(2);
+    unmerged.coverage.merge_visited = false;
+    configs.push_back(unmerged);
+    for (const GenericConfig& gc : configs) {
         expect_engine_matches_simulator(net.graph, 9, gc, 6, 4);
     }
 }
@@ -266,7 +282,10 @@ TEST(ScaleEngineGeneric, DigestIndependentOfWheelsAndJobs) {
     // Unlike the per-wheel-fold flood digest, the generic digest is the
     // global transmission order: one value per (graph, source, config).
     const UnitDiskNetwork net = make_network(220, 0x777);
+    // So is the view-compile count: one per decision the Rule-1/leaf
+    // shortcut did not settle.
     std::uint64_t first = 0;
+    std::size_t first_compiles = 0;
     bool have_first = false;
     for (const std::size_t w : {1ULL, 4ULL, 16ULL}) {
         for (const std::size_t j : {1ULL, 8ULL}) {
@@ -279,9 +298,13 @@ TEST(ScaleEngineGeneric, DigestIndependentOfWheelsAndJobs) {
             const ScaleResult r = engine.run(1);
             if (!have_first) {
                 first = r.order_digest;
+                first_compiles = r.view_compiles;
                 have_first = true;
+                EXPECT_GT(r.view_compiles, 0u);
+                EXPECT_LT(r.view_compiles, r.received_count - 1);  // the shortcut fired
             }
             EXPECT_EQ(r.order_digest, first) << "wheels=" << w << " jobs=" << j;
+            EXPECT_EQ(r.view_compiles, first_compiles) << "wheels=" << w << " jobs=" << j;
         }
     }
 }

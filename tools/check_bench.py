@@ -27,7 +27,8 @@ adhoc-resilience-v1 (bench_resilience)
 adhoc-scale-v1 (bench_scale)
     Per (nodes, policy) row the deterministic simulation outputs —
     delivered_events, forward_count, received_count, full_delivery,
-    windows, completion_time and the canonical order_digest — must match
+    windows, completion_time, the canonical order_digest and the generic
+    decisions' view_compiles (those the view-free shortcut left) — must match
     the baseline *exactly*: they are pure functions of (seed, wheels), so
     any drift is a semantic change in the engine, not noise.  All policies
     at one size must agree on received_count (forwarding policies change
@@ -175,7 +176,8 @@ def scale_rows(doc):
 def check_scale(baseline, current, args):
     exact_fields = ("edges", "delivered_events", "forward_count",
                     "received_count", "full_delivery", "windows",
-                    "peak_queue_events", "completion_time", "order_digest")
+                    "peak_queue_events", "completion_time", "order_digest",
+                    "view_compiles")
     baseline = scale_rows(baseline)
     current = scale_rows(current)
 

@@ -65,6 +65,23 @@ def scale_resilience_doc():
     }
 
 
+def scale_doc():
+    row = {"nodes": 1000, "edges": 2940, "policy": "generic_fr",
+           "delivered_events": 2748, "forward_count": 431,
+           "received_count": 982, "full_delivery": False, "windows": 36,
+           "peak_queue_events": 164, "completion_time": 36,
+           "order_digest": "e5deef27cb7a9f0b", "view_compiles": 559,
+           "engine_bytes_per_node": 54.0, "wall_seconds": 0,
+           "events_per_sec": 0}
+    return {
+        "schema": "adhoc-scale-v1",
+        "name": "bench_scale",
+        "seed": "42",
+        "wheels": 8,
+        "rows": [row],
+    }
+
+
 def micro_doc():
     return {
         "schema": "adhoc-micro-v1",
@@ -146,6 +163,29 @@ def _():
     cur["rows"][0]["wall_seconds"] = 42.0
     cur["rows"][0]["events_per_sec"] = 1.0
     assert run_checker(base, cur).returncode == 0
+
+
+@check("scale: identical runs pass")
+def _(doc=scale_doc()):
+    assert run_checker(doc, doc).returncode == 0
+
+
+@check("scale: drifted view_compiles fails")
+def _():
+    base = scale_doc()
+    cur = copy.deepcopy(base)
+    cur["rows"][0]["view_compiles"] = 981
+    proc = run_checker(base, cur)
+    assert proc.returncode == 1
+    assert "view_compiles" in proc.stderr
+
+
+@check("scale: engine bytes above the ceiling fail")
+def _():
+    base = scale_doc()
+    cur = copy.deepcopy(base)
+    cur["rows"][0]["engine_bytes_per_node"] = 54.0 * 1.3
+    assert run_checker(base, cur).returncode == 1
 
 
 @check("extras: row missing from baseline warns but passes")
