@@ -262,8 +262,9 @@ int main(int argc, char** argv) {
 
         // --- per-decision view construction: owning copy vs borrowed cache ---
         {
-            // The pre-refactor path: copy the cached topology and build a
-            // fresh status vector for every decision.
+            // The owning path: copy the cached topology's graph, mask and
+            // members, build a fresh status vector, and let the owning
+            // View constructor compile the CSR again — every decision.
             auto build_ref = [&](NodeId v) {
                 const LocalTopology& topo = kb.at(v).topology();
                 std::vector<NodeStatus> status(n, NodeStatus::kInvisible);

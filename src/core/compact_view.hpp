@@ -5,11 +5,11 @@
 /// are invoked once per node per broadcast, and a naive implementation pays
 /// O(n) per call — full-size masks, distance arrays and component labels —
 /// even though the information they consume is bounded by the k-hop
-/// neighborhood.  `LocalViewScratch::compile` flattens the visible part of
-/// a View into contiguous arrays over *local* ids 0..m-1 (m = number of
-/// visible nodes):
+/// neighborhood.  Every View stands on a compiled `LocalTopology`, whose
+/// CSR covers only the visible part over *local* ids 0..m-1 (m = number of
+/// visible nodes); `LocalViewScratch::compile` aliases that adjacency and
+/// adds the per-call state:
 ///
-///  - a CSR adjacency (`offsets`/`edges`) over local ids,
 ///  - the per-node `Priority`, evaluated exactly once per compilation
 ///    (instead of once per `view.priority(x)` call inside the kernels),
 ///  - the per-node `NodeStatus`.
@@ -93,11 +93,11 @@ inline constexpr std::uint32_t kNoLocal = 0xffffffffu;
 
 /// A View compiled to dense local ids (see file comment).
 ///
-/// The topology arrays are spans: they alias either the arena's own
-/// storage (views compiled from scratch) or a `CompactTopology` cached on
-/// a long-lived LocalTopology (the simulation fast path, which skips the
-/// per-call CSR build entirely).  Status and priorities are always
-/// re-evaluated per compilation — they change between decisions.
+/// The topology arrays are spans over storage the arena does not own: the
+/// compiled view's `LocalTopology` (members and its `CompactTopology`), or
+/// a `KHopViewBuilder`'s output (the ScaleEngine, which fills these fields
+/// itself).  Status and priorities are re-evaluated per compilation — they
+/// change between decisions.
 struct CompactLocalView {
     std::uint32_t size = 0;                ///< m = number of visible nodes
     std::span<const NodeId> members;       ///< local -> global id, ascending
@@ -129,22 +129,17 @@ class LocalViewScratch {
     /// The calling thread's arena (one per worker thread, reused forever).
     [[nodiscard]] static LocalViewScratch& tls();
 
-    /// Compiles `view` into `compact`.  O(|members| + local edges) when the
-    /// view carries a member list, O(n + local edges) otherwise.
+    /// Points `compact` at `view`'s members and CSR and evaluates status
+    /// and priority per member: O(|members|).  The view's topology must
+    /// outlive the kernels' use of `compact`.
     void compile(const View& view);
 
     /// Local id of a global node; only valid for members of the most
     /// recently compiled view.  Binary search over the member list — the
-    /// kernels only call this for their few entry points, and it works for
-    /// both the cached-CSR and the compiled-from-scratch paths.
+    /// kernels only call this for their few entry points.
     [[nodiscard]] std::uint32_t local_of(NodeId global) const noexcept {
         const auto it = std::lower_bound(compact.members.begin(), compact.members.end(), global);
         return static_cast<std::uint32_t>(it - compact.members.begin());
-    }
-
-    /// True iff `global` is visible in the most recently compiled view.
-    [[nodiscard]] bool is_member(NodeId global) const noexcept {
-        return std::binary_search(compact.members.begin(), compact.members.end(), global);
     }
 
     CompactLocalView compact;
@@ -160,18 +155,6 @@ class LocalViewScratch {
     std::vector<std::uint64_t> mark;    ///< generic label/visited bitset
     std::vector<std::uint64_t> acc;     ///< running intersection accumulator
     std::vector<std::vector<std::uint64_t>> comp_bits;  ///< per-neighbor label sets
-
-  private:
-    // Storage backing `compact`'s spans when the view carries no
-    // precompiled CSR.
-    std::vector<NodeId> members_store_;
-    std::vector<std::uint32_t> offsets_store_;
-    std::vector<std::uint32_t> edges_store_;
-    // Epoch-stamped global -> local map; only used while building a CSR
-    // from scratch (O(1) invalidation between compilations).
-    std::vector<std::uint32_t> g2l_;
-    std::vector<std::uint32_t> g2l_stamp_;
-    std::uint32_t epoch_ = 0;
 };
 
 }  // namespace adhoc

@@ -81,10 +81,10 @@ struct CoverageOutcome {
 /// hold the evaluated node's local view (members/offsets/edges spans plus
 /// per-member priority and status), `local_v` its local id, and `pv` its
 /// own fully-evaluated priority.  `evaluate_coverage` is exactly
-/// `compile` + this call; callers that assemble the compact view
-/// themselves — the ScaleEngine compiles truncated-BFS views straight into
-/// per-wheel storage and aliases the spans — skip the `View` object
-/// entirely and still run the identical decision kernel.
+/// `compile` (which aliases the view's `LocalTopology` CSR) + this call.
+/// The ScaleEngine skips the `View` object: it points the spans at its
+/// wheel's `KHopViewBuilder` output and fills status and priority itself,
+/// then runs the identical decision kernel.
 [[nodiscard]] CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s,
                                                          std::uint32_t local_v,
                                                          const Priority& pv,

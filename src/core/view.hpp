@@ -7,18 +7,21 @@
 /// nodes to the bottom of the order, so local views are always <= the
 /// global view — the property Theorem 2's correctness argument rests on.
 ///
-/// Views come in two flavors with identical semantics:
-///  - *owning*: the view carries its own copy of topology/visibility
-///    (views built from scratch, e.g. `make_static_view`);
-///  - *borrowing*: the view references a long-lived `LocalTopology` (and
-///    possibly a status buffer) owned by the caller — the hot path for
-///    simulation agents, which would otherwise copy the whole adjacency
-///    structure on every decision.  The referenced objects must outlive
-///    the view.
+/// Every view stands on one compiled `LocalTopology` (members, mask and
+/// the dense-id CSR the decision kernels read) plus a status buffer.  The
+/// constructors differ only in who keeps those alive:
+///  - `make_static_view` / `make_dynamic_view(g, ...)` and the owning
+///    constructors put them in one shared heap block that every copy of
+///    the view holds, so copies stay valid after the original dies;
+///  - the borrowing constructors point at a long-lived `LocalTopology`
+///    (and possibly a status buffer) owned by the caller — the hot path for
+///    simulation agents, which would otherwise copy the adjacency on every
+///    decision.  The referenced objects must outlive the view.
 
 #pragma once
 
 #include <cassert>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -35,68 +38,44 @@ namespace adhoc {
 /// trivial.
 class View {
   public:
-    /// Builds an owning view.
+    /// Builds an owning view; compiles the topology's CSR.
     /// \param topology   visible subgraph in the original id space
     /// \param visible    visibility mask (size == node_count of original)
     /// \param status     per-node status; ignored for invisible nodes
     /// \param keys       static priority keys (shared, must outlive view)
     /// \param members    optional sorted list of visible ids (may be empty)
     View(Graph topology, std::vector<char> visible, std::vector<NodeStatus> status,
-         const PriorityKeys* keys, std::vector<NodeId> members = {})
-        : topology_storage_(std::move(topology)),
-          visible_storage_(std::move(visible)),
-          members_storage_(std::move(members)),
-          status_storage_(std::move(status)),
-          keys_(keys) {
-        assert(keys_ != nullptr);
-        assert(visible_storage_.size() == topology_storage_.node_count());
-        assert(status_storage_.size() == topology_storage_.node_count());
-    }
+         const PriorityKeys* keys, std::vector<NodeId> members = {});
 
-    /// Borrows topology/visibility/members from `topo`; owns the status.
-    /// `topo` must outlive the view.
-    View(const LocalTopology* topo, std::vector<NodeStatus> status, const PriorityKeys* keys)
-        : topo_(topo), status_storage_(std::move(status)), keys_(keys) {
-        assert(topo_ != nullptr && keys_ != nullptr);
-        assert(status_storage_.size() == topo_->graph.node_count());
-    }
+    /// Owns `topo` (which must carry its CSR) and `status`.
+    View(LocalTopology topo, std::vector<NodeStatus> status, const PriorityKeys* keys);
+
+    /// Borrows `topo`, which must carry its CSR and outlive the view; owns
+    /// the status.
+    View(const LocalTopology* topo, std::vector<NodeStatus> status, const PriorityKeys* keys);
 
     /// Fully borrowing view: topology and status both live outside (the
     /// KnowledgeBase fast path — zero copies per decision).  Both must
     /// outlive the view.
     View(const LocalTopology* topo, const std::vector<NodeStatus>* status,
          const PriorityKeys* keys)
-        : topo_(topo), status_ptr_(status), keys_(keys) {
-        assert(topo_ != nullptr && status != nullptr && keys_ != nullptr);
-        assert(status->size() == topo_->graph.node_count());
+        : topo_(topo), status_(status), keys_(keys) {
+        check();
     }
 
-    [[nodiscard]] const Graph& topology() const noexcept {
-        return topo_ != nullptr ? topo_->graph : topology_storage_;
-    }
-    [[nodiscard]] std::size_t node_count() const noexcept { return topology().node_count(); }
-    [[nodiscard]] bool visible(NodeId v) const noexcept {
-        return (topo_ != nullptr ? topo_->visible[v] : visible_storage_[v]) != 0;
-    }
+    [[nodiscard]] const Graph& topology() const noexcept { return topo_->graph; }
+    [[nodiscard]] std::size_t node_count() const noexcept { return topo_->graph.node_count(); }
+    [[nodiscard]] bool visible(NodeId v) const noexcept { return topo_->visible[v] != 0; }
 
-    /// Sorted visible node ids, or an empty span when the view was built
-    /// without a member list (consumers then fall back to scanning 0..n-1).
-    [[nodiscard]] std::span<const NodeId> members() const noexcept {
-        return topo_ != nullptr ? std::span<const NodeId>(topo_->members)
-                                : std::span<const NodeId>(members_storage_);
-    }
+    /// Sorted visible node ids (local id = position).
+    [[nodiscard]] std::span<const NodeId> members() const noexcept { return topo_->members; }
 
-    /// The borrowed topology's precompiled CSR, or nullptr when the view
-    /// owns its topology / the cache was never built (the kernels then
-    /// compile the adjacency themselves).
-    [[nodiscard]] const CompactTopology* compact_topology() const noexcept {
-        return topo_ != nullptr && !topo_->compact.offsets.empty() ? &topo_->compact : nullptr;
-    }
+    /// The topology's dense-id CSR over `members`.
+    [[nodiscard]] const CompactTopology& compact() const noexcept { return topo_->compact; }
 
     /// Status as captured by this view (kInvisible for invisible nodes).
     [[nodiscard]] NodeStatus status(NodeId v) const noexcept {
-        if (!visible(v)) return NodeStatus::kInvisible;
-        return status_ptr_ != nullptr ? (*status_ptr_)[v] : status_storage_[v];
+        return visible(v) ? (*status_)[v] : NodeStatus::kInvisible;
     }
 
     /// Full priority Pr(v) under this view; invisible nodes get the bottom
@@ -108,12 +87,24 @@ class View {
     [[nodiscard]] const PriorityKeys& keys() const noexcept { return *keys_; }
 
   private:
-    const LocalTopology* topo_ = nullptr;               ///< borrowed topology
-    const std::vector<NodeStatus>* status_ptr_ = nullptr;  ///< borrowed status
-    Graph topology_storage_;
-    std::vector<char> visible_storage_;
-    std::vector<NodeId> members_storage_;
-    std::vector<NodeStatus> status_storage_;
+    struct Owned {
+        LocalTopology topo;
+        std::vector<NodeStatus> status;
+    };
+
+    void check() const noexcept {
+        assert(topo_ != nullptr && status_ != nullptr && keys_ != nullptr);
+        assert(status_->size() == topo_->graph.node_count());
+        assert(topo_->visible.size() == topo_->graph.node_count());
+        assert(topo_->compact.offsets.size() == topo_->members.size() + 1);
+    }
+
+    /// Keeps what the view owns (an `Owned`, or just the status) alive;
+    /// shared by copies, so the pointers below survive copies and moves.
+    /// Null for a fully borrowing view.
+    std::shared_ptr<const void> owner_;
+    const LocalTopology* topo_;
+    const std::vector<NodeStatus>* status_;
     const PriorityKeys* keys_;
 };
 

@@ -27,6 +27,9 @@ std::vector<NodeId> two_hop_cover_set(const Graph& g, NodeId v) {
     return nodes;
 }
 
+namespace {
+
+/// Fills `topo.members` from `topo.visible` (ascending) unless given.
 void populate_members(LocalTopology& topo) {
     if (!topo.members.empty()) return;
     topo.members.reserve(topo.visible.size());
@@ -34,6 +37,8 @@ void populate_members(LocalTopology& topo) {
         if (topo.visible[u]) topo.members.push_back(u);
     }
 }
+
+}  // namespace
 
 void compile_topology(LocalTopology& topo) {
     if (!topo.compact.offsets.empty()) return;
@@ -148,7 +153,7 @@ LocalTopology local_topology(const Graph& g, NodeId v, std::size_t k) {
     if (k == 0) {  // global information
         local.graph = g;
         local.visible.assign(g.node_count(), 1);
-        populate_members(local);
+        compile_topology(local);
         return local;
     }
 

@@ -30,9 +30,9 @@ namespace adhoc {
 /// Flat CSR adjacency of a LocalTopology's visible subgraph over dense
 /// local ids (position in `members`).  Edges between two exactly-k-hop
 /// nodes are absent by construction of the topology itself.  Built once
-/// per topology by `compile_topology`; the decision kernels borrow these
+/// per topology by its producer; the decision kernels borrow these
 /// contiguous arrays instead of pointer-chasing the Graph's per-node heap
-/// rows on every call.  Empty `offsets` means "not built".
+/// rows on every call.
 struct CompactTopology {
     std::vector<std::uint32_t> offsets;  ///< size members+1 when built
     std::vector<std::uint32_t> edges;    ///< local ids, ascending per row
@@ -119,14 +119,14 @@ struct LocalTopology {
     std::vector<char> visible;  ///< visible[u] == 1 iff u ∈ N_k(v)
     NodeId center = kInvalidNode;
     std::size_t hops = 0;       ///< the k it was built with (0 == global)
-    /// Visible node ids in ascending order — the dense-id compilation of
-    /// the view iterates this instead of scanning all n nodes.  Empty means
-    /// "not computed" (hand-built topologies); consumers fall back to
-    /// scanning `visible`.
+    /// Visible node ids in ascending order (local id = position) — the
+    /// dense-id compilation of the view iterates this instead of scanning
+    /// all n nodes.
     std::vector<NodeId> members;
-    /// One-time dense-id CSR (see CompactTopology).  `local_topology`
-    /// fills it for k >= 1; other topologies get it from
-    /// `compile_topology`.  The topology must not be mutated afterwards.
+    /// One-time dense-id CSR (see CompactTopology).  Every producer
+    /// (`local_topology`, `HelloProtocol::view_of`, the `View(Graph, ...)`
+    /// constructor) builds it once; a `View` requires it.  The topology
+    /// must not be mutated afterwards.
     CompactTopology compact;
     /// Set by the hello layer when neighbor-liveness aging removed entries
     /// from this view: decisions taken against it are "stale-view
@@ -135,19 +135,15 @@ struct LocalTopology {
     bool stale = false;
 };
 
-/// Fills `topo.members` from `topo.visible` (ascending).  No-op when the
-/// member list is already populated.
-void populate_members(LocalTopology& topo);
-
-/// Builds `topo.compact` (populating `members` first if needed).  No-op
-/// when already built — as it is for every k >= 1 `local_topology`, so
-/// this only does work for global, hello-built or hand-built topologies.
+/// Builds `topo.compact` from `graph` and `visible`, filling `members`
+/// from `visible` first if it is empty; edges to non-members are dropped.
+/// No-op when already built, as it is for every `local_topology`.
 void compile_topology(LocalTopology& topo);
 
-/// Extracts G_k(v).  `k == 0` is interpreted as *global* information (the
-/// whole graph is visible); the paper's sweeps use k ∈ {2,3,4,5, global}.
-/// For k >= 1 the view comes from a thread-local `KHopViewBuilder`, with
-/// `members` and `compact` filled; safe to call from many threads.
+/// Extracts G_k(v) with `members` and `compact` filled.  `k == 0` is
+/// interpreted as *global* information (the whole graph is visible); the
+/// paper's sweeps use k ∈ {2,3,4,5, global}.  For k >= 1 the view comes
+/// from a thread-local `KHopViewBuilder`; safe to call from many threads.
 [[nodiscard]] LocalTopology local_topology(const Graph& g, NodeId v, std::size_t k);
 
 }  // namespace adhoc

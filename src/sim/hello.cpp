@@ -114,7 +114,7 @@ LocalTopology HelloProtocol::view_of(NodeId v) const {
     view.graph = known_[v];
     view.visible = heard_of_[v];
     view.stale = (stale_[v] != 0);
-    populate_members(view);
+    compile_topology(view);
     return view;
 }
 

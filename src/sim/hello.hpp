@@ -62,7 +62,8 @@ class HelloProtocol {
     void run(Rng& rng);
 
     /// The view node `v` assembled: visible nodes and known edges, in the
-    /// original id space (same shape as `local_topology`).
+    /// original id space, with members and CSR compiled (same shape as
+    /// `local_topology`).
     [[nodiscard]] LocalTopology view_of(NodeId v) const;
 
     /// Total HELLO messages sent (n per round).

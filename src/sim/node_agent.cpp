@@ -23,10 +23,7 @@ KnowledgeBase::KnowledgeBase(const Graph& g, std::size_t k)
     : topologies_(g.node_count()), k_(k) {
     const std::size_t n = g.node_count();
     init_state(n);
-    for (NodeId v = 0; v < n; ++v) {
-        topologies_[v] = local_topology(g, v, k);
-        compile_topology(topologies_[v]);  // kernels borrow the CSR per decision
-    }
+    for (NodeId v = 0; v < n; ++v) topologies_[v] = local_topology(g, v, k);
 }
 
 KnowledgeBase::KnowledgeBase(const Graph& g, std::vector<LocalTopology> views)

@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "core/compact_view.hpp"
 #include "core/coverage.hpp"
 #include "core/maxmin.hpp"
 #include "core/priority.hpp"
@@ -114,6 +115,24 @@ void expect_maxmin_agrees(const View& view, const std::string& label) {
         }
     }
 }
+
+/// Owned copies of a compiled view's arrays (the scratch is reused by
+/// the next compile).
+struct CompactSnapshot {
+    explicit CompactSnapshot(const CompactLocalView& c)
+        : members(c.members.begin(), c.members.end()),
+          offsets(c.offsets.begin(), c.offsets.end()),
+          edges(c.edges.begin(), c.edges.end()),
+          status(c.status),
+          priority(c.priority) {}
+    bool operator==(const CompactSnapshot&) const = default;
+
+    std::vector<NodeId> members;
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> edges;
+    std::vector<NodeStatus> status;
+    std::vector<Priority> priority;
+};
 
 View owning_view(const Graph& g, const std::vector<NodeStatus>& status,
                  const PriorityKeys& keys) {
@@ -252,6 +271,14 @@ TEST(CoverageEquivalence, KnowledgeBaseCachedViews) {
                           evaluate_coverage(owning, v, opts).covered)
                     << "cached vs owning, iter " << iter << " node " << v;
             }
+
+            // Both views compile to the same dense arrays.
+            LocalViewScratch& s = LocalViewScratch::tls();
+            s.compile(cached);
+            const CompactSnapshot want(s.compact);
+            s.compile(owning);
+            ASSERT_EQ(CompactSnapshot(s.compact), want)
+                << "compiled arrays, iter " << iter << " node " << v;
         }
     }
 }

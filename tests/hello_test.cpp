@@ -19,6 +19,9 @@ void expect_views_equal(const LocalTopology& hello, const LocalTopology& analyti
                         NodeId v, std::size_t k) {
     EXPECT_EQ(hello.visible, analytic.visible) << "node " << v << " k=" << k;
     EXPECT_EQ(hello.graph, analytic.graph) << "node " << v << " k=" << k;
+    EXPECT_EQ(hello.members, analytic.members) << "node " << v << " k=" << k;
+    EXPECT_EQ(hello.compact.offsets, analytic.compact.offsets) << "node " << v << " k=" << k;
+    EXPECT_EQ(hello.compact.edges, analytic.compact.edges) << "node " << v << " k=" << k;
 }
 
 TEST(Hello, LosslessRoundsReproduceDefinition2Exactly) {

@@ -314,7 +314,7 @@ TEST(KHopViewBuilder, BytesFollowTheBallNotTheGraph) {
 
 TEST(KHop, LocalTopologyCompactEqualsCompileTopology) {
     const Graph g = random_gnp(40, 0.1, 0xc0de);
-    for (const std::size_t k : {1u, 2u, 3u}) {
+    for (const std::size_t k : {0u, 1u, 2u, 3u}) {
         for (NodeId v = 0; v < g.node_count(); v += 7) {
             const LocalTopology t = local_topology(g, v, k);
             LocalTopology recompiled = t;

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/coverage.hpp"
+
 namespace adhoc {
 namespace {
 
@@ -90,6 +94,28 @@ TEST(View, VisitedTrumpsDesignatedInStatus) {
     const View view = make_dynamic_view(g, 1, 0, keys, visited, designated);
     EXPECT_EQ(view.status(1), NodeStatus::kVisited);
     EXPECT_EQ(view.status(2), NodeStatus::kDesignated);
+}
+
+TEST(View, CopiesOutliveTheOriginal) {
+    // An owning view's copies share its topology and status: they must stay
+    // valid after the view they were copied from is gone.
+    const Graph g = grid_graph(4, 4);
+    const PriorityKeys keys(g, PriorityScheme::kDegree);
+    std::vector<View> copies;
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+        const View original = make_static_view(g, v, 2, keys);
+        copies.push_back(original);
+    }
+    std::size_t covered = 0;
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+        const bool want = coverage_condition_holds(make_static_view(g, v, 2, keys), v);
+        EXPECT_EQ(coverage_condition_holds(copies[v], v), want) << "node " << v;
+        EXPECT_TRUE(std::ranges::equal(copies[v].members(),
+                                       make_static_view(g, v, 2, keys).members()));
+        covered += want ? 1 : 0;
+    }
+    EXPECT_GT(covered, 0u);
+    EXPECT_LT(covered, g.node_count());
 }
 
 TEST(View, LocalPriorityNeverExceedsGlobal) {
