@@ -121,38 +121,45 @@ struct BenchOptions {
     std::string json_path;       ///< empty = no JSON sink
 };
 
+/// The one failure path for bad command-line input in the bench binaries:
+/// prints `what` with a pointer to --help and exits 2.
+[[noreturn]] inline void usage_error(const std::string& what) {
+    std::cerr << what << " (usage: --help)\n";
+    std::exit(2);
+}
+
+/// The value after flag `argv[i]` (advancing `i`); a usage error when the
+/// flag is the last argument.
+inline const char* flag_value(int argc, char** argv, int& i) {
+    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
+    return argv[++i];
+}
+
+/// `text`, the value of `flag`, parsed in full by an io/cli.hpp parser
+/// (`io::parse_size`, `io::parse_u64`); a usage error when it does not parse.
+template <typename Parse>
+auto parse_flag(const std::string& flag, const char* text, Parse parse) {
+    const auto value = parse(text);
+    if (!value) usage_error("invalid value for " + flag + ": '" + text + "'");
+    return *value;
+}
+
 inline BenchOptions parse_options(int argc, char** argv) {
     BenchOptions opts;
     // Numeric values must parse in full (io/cli.hpp): "--runs 5x" used to
     // silently run 5 and "--runs x" ran 0.  Unknown arguments are still
     // ignored — wrappers (bench_campaign) route their own flags through
     // the same argv.
-    const auto numeric = [&](const char* flag, const char* text) -> std::size_t {
-        const auto value = io::parse_size(text);
-        if (!value) {
-            std::cerr << "invalid value for " << flag << ": '" << text
-                      << "' (usage: --help)\n";
-            std::exit(2);
-        }
-        return *value;
-    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--runs" && i + 1 < argc) {
-            opts.max_runs = numeric("--runs", argv[++i]);
+            opts.max_runs = parse_flag(arg, argv[++i], io::parse_size);
         } else if (arg == "--full") {
             opts.max_runs = 2000;
         } else if (arg == "--seed" && i + 1 < argc) {
-            const auto seed = io::parse_u64(argv[i + 1]);
-            if (!seed) {
-                std::cerr << "invalid value for --seed: '" << argv[i + 1]
-                          << "' (usage: --help)\n";
-                std::exit(2);
-            }
-            opts.seed = *seed;
-            ++i;
+            opts.seed = parse_flag(arg, argv[++i], io::parse_u64);
         } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = numeric("--jobs", argv[++i]);
+            opts.jobs = parse_flag(arg, argv[++i], io::parse_size);
         } else if (arg == "--json" && i + 1 < argc) {
             opts.json_path = argv[++i];
         } else if (arg == "--csv") {

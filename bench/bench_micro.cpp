@@ -26,6 +26,7 @@
 
 #include <queue>
 
+#include "bench_common.hpp"
 #include "core/coverage.hpp"
 #include "core/priority.hpp"
 #include "core/view.hpp"
@@ -46,18 +47,21 @@ struct MicroOptions {
 };
 
 MicroOptions parse(int argc, char** argv) {
+    using bench::flag_value;
     MicroOptions opts;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--smoke") {
             opts.smoke = true;
-        } else if (arg == "--seed" && i + 1 < argc) {
-            opts.seed = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--json" && i + 1 < argc) {
-            opts.json_path = argv[++i];
+        } else if (arg == "--seed") {
+            opts.seed = bench::parse_flag(arg, flag_value(argc, argv, i), io::parse_u64);
+        } else if (arg == "--json") {
+            opts.json_path = flag_value(argc, argv, i);
         } else if (arg == "--help") {
             std::cout << "options: --smoke | --seed S | --json PATH\n";
             std::exit(0);
+        } else {
+            bench::usage_error("unknown option " + arg);
         }
     }
     return opts;

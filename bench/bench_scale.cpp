@@ -72,6 +72,8 @@ struct ScaleOptions {
 };
 
 ScaleOptions parse(int argc, char** argv) {
+    using bench::flag_value;
+    using bench::parse_flag;
     ScaleOptions opts;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -81,19 +83,21 @@ ScaleOptions parse(int argc, char** argv) {
             opts.timing = false;
         } else if (arg == "--resilience") {
             opts.resilience = true;
-        } else if (arg == "--max-n" && i + 1 < argc) {
-            opts.max_n = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = std::strtoull(argv[++i], nullptr, 10);
-            if (opts.jobs == 0) opts.jobs = 1;
-        } else if (arg == "--seed" && i + 1 < argc) {
-            opts.seed = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--json" && i + 1 < argc) {
-            opts.json_path = argv[++i];
+        } else if (arg == "--max-n") {
+            opts.max_n = parse_flag(arg, flag_value(argc, argv, i), io::parse_size);
+        } else if (arg == "--jobs") {
+            opts.jobs = parse_flag(arg, flag_value(argc, argv, i), io::parse_size);
+            if (opts.jobs == 0) bench::usage_error("invalid value for --jobs: '0'");
+        } else if (arg == "--seed") {
+            opts.seed = parse_flag(arg, flag_value(argc, argv, i), io::parse_u64);
+        } else if (arg == "--json") {
+            opts.json_path = flag_value(argc, argv, i);
         } else if (arg == "--help") {
             std::cout << "options: --smoke | --resilience | --max-n N | --jobs J | "
                          "--seed S | --json PATH | --no-timing\n";
             std::exit(0);
+        } else {
+            bench::usage_error("unknown option " + arg);
         }
     }
     if (opts.json_path.empty()) {

@@ -177,7 +177,7 @@ void ScaleEngine::validate_generic_config() const {
 }
 
 ScaleEngine::ScaleEngine(const Graph& graph, ScaleConfig config)
-    : graph_(&graph), config_(config) {
+    : graph_(graph), config_(config) {
     if (!(config_.delay > 0.0)) {
         throw std::invalid_argument("ScaleConfig.delay must be > 0");
     }
@@ -200,32 +200,11 @@ ScaleEngine::ScaleEngine(const Graph& graph, ScaleConfig config)
 
     if (config_.policy == ScalePolicy::kGenericCoverage) {
         validate_generic_config();
-        keys_ = PriorityKeys(*graph_, config_.generic.priority);
+        keys_ = PriorityKeys(graph_, config_.generic.priority);
     }
 }
 
 ScaleEngine::~ScaleEngine() = default;
-
-void ScaleEngine::flap(NodeId u, NodeId v, bool add) {
-    const std::size_t n = graph_->node_count();
-    if (u >= n || v >= n || u == v) {
-        throw std::invalid_argument("ScaleEngine edge flap: invalid endpoints");
-    }
-    if (!churn_graph_) {
-        churn_graph_.emplace(*graph_);  // copy-on-first-flap
-        graph_ = &*churn_graph_;
-    }
-    if (add) {
-        churn_graph_->add_edge(u, v);
-    } else {
-        churn_graph_->remove_edge(u, v);
-    }
-    keys_stale_ = true;  // degree/NCR keys follow the topology
-}
-
-void ScaleEngine::add_edge(NodeId u, NodeId v) { flap(u, v, true); }
-
-void ScaleEngine::remove_edge(NodeId u, NodeId v) { flap(u, v, false); }
 
 void ScaleEngine::process_wheel(std::size_t w) {
     Wheel& wheel = wheels_[w];
@@ -244,11 +223,11 @@ void ScaleEngine::process_wheel(std::size_t w) {
             if (received_[v]) continue;  // duplicate copy: snooped, not re-decided
             received_[v] = 1;
             const bool forward = config_.policy == ScalePolicy::kFlood ||
-                                 !neighbors_covered_by(*graph_, v, e.sender);
+                                 !neighbors_covered_by(graph_, v, e.sender);
             if (!forward) continue;
             forwarded_[v] = 1;
             const double next_time = e.time + config_.delay;
-            for (NodeId x : graph_->neighbors(v)) {
+            for (NodeId x : graph_.neighbors(v)) {
                 cur_[w * wheel_count + wheel_of(x)].push_back({next_time, x, v});
             }
         }
@@ -274,14 +253,14 @@ bool ScaleEngine::decide(WheelScratch& ws, NodeId v, NodeId sender,
     const Priority pv = keys_.evaluate(v, NodeStatus::kUnvisited);
     // The view-free special cases settle many verdicts outright; only the
     // rest compile a view.
-    if (covered_without_view(*graph_, v, pv, keys_, ws.visited,
+    if (covered_without_view(graph_, v, pv, keys_, ws.visited,
                              rule1_implies_coverage(gc.hops, gc.coverage))) {
         return false;
     }
 
     ++ws.compiles;
     KHopViewBuilder& b = ws.view;
-    b.compile(*graph_, v, gc.hops);
+    b.compile(graph_, v, gc.hops);
     LocalViewScratch& s = LocalViewScratch::tls();
     const auto m = static_cast<std::uint32_t>(b.members.size());
     s.compact.size = m;
@@ -314,7 +293,7 @@ std::size_t ScaleEngine::window_index(double time) const noexcept {
 
 void ScaleEngine::attach_faults(const faults::FaultPlan* plan) {
     if (plan != nullptr) {
-        faults::validate_plan(*plan, graph_->node_count());
+        faults::validate_plan(*plan, graph_.node_count());
         for (std::size_t i = 0; i < plan->events.size(); ++i) {
             if (window_index(plan->events[i].time) >= kMaxWindows) {
                 throw std::invalid_argument(
@@ -400,7 +379,7 @@ void ScaleEngine::fanout(NodeId sender, bool control, std::uint32_t payload,
     const std::uint32_t kind = control ? kRControl : kRDelivery;
     std::vector<REvent>& out = bucket(next_time);
     std::uint64_t seq = r_seq_;
-    for (NodeId nbr : graph_->neighbors(sender)) {
+    for (NodeId nbr : graph_.neighbors(sender)) {
         if (only_target != kInvalidNode && nbr != only_target) continue;
         if (gated &&
             (!fsession_.link_up(sender, nbr) || fsession_.drop_directed(sender, nbr))) {
@@ -468,14 +447,6 @@ std::span<const NodeId> ScaleEngine::packet_chain(const RPacket& pkt) const noex
     return {r_chain_.data() + pkt.chain_off, pkt.chain_len};
 }
 
-void ScaleEngine::apply_fault(const faults::FaultEvent& fe) {
-    fsession_.apply(fe);
-    if (config_.churn_updates_views && (fe.kind == faults::FaultKind::kLinkDown ||
-                                        fe.kind == faults::FaultKind::kLinkUp)) {
-        flap(fe.link.a, fe.link.b, fe.kind == faults::FaultKind::kLinkUp);
-    }
-}
-
 void ScaleEngine::replay_wheel(WheelScratch& ws, std::size_t lo, std::size_t hi,
                                NodeId first, std::size_t count) {
     // Walks work_[lo, hi) in (time, seq) order and replays the events of
@@ -513,7 +484,7 @@ void ScaleEngine::replay_wheel(WheelScratch& ws, std::size_t lo, std::size_t hi,
             }
             bool forward = true;
             if (config_.policy == ScalePolicy::kSelfPrune) {
-                forward = !neighbors_covered_by(*graph_, v, pkt.sender);
+                forward = !neighbors_covered_by(graph_, v, pkt.sender);
             } else if (config_.policy == ScalePolicy::kGenericCoverage) {
                 forward = decide(ws, v, pkt.sender, packet_chain(pkt));
             }
@@ -580,7 +551,7 @@ void ScaleEngine::run_actions() {
 }
 
 ScaleResult ScaleEngine::run_exact(NodeId source) {
-    const std::size_t n = graph_->node_count();
+    const std::size_t n = graph_.node_count();
     ScaleResult result;
     if (n == 0) return result;
 
@@ -608,13 +579,6 @@ ScaleResult ScaleEngine::run_exact(NodeId source) {
     for (WheelScratch& ws : scratch_) ws.delivered = ws.suppressed = ws.compiles = 0;
 
     const bool generic = config_.policy == ScalePolicy::kGenericCoverage;
-    const auto refresh_keys = [&] {  // a flap changed degrees/NCR
-        if (generic && keys_stale_) {
-            keys_ = PriorityKeys(*graph_, config_.generic.priority);
-            keys_stale_ = false;
-        }
-    };
-    refresh_keys();
 
     // Queue the whole fault schedule first: these events carry the globally
     // lowest insertion sequences, so a crash always beats same-instant
@@ -665,18 +629,17 @@ ScaleResult ScaleEngine::run_exact(NodeId source) {
         // Fault events apply serially, in place.  Plan events carry the
         // lowest sequences, so they normally form a prefix; one that sorts
         // after same-window traffic splits the window into phases at its
-        // (time, seq).  Within a phase, up/down state and the graph are
-        // frozen, and every push lands in a later window, so each wheel
-        // replays its own nodes' events independently and the serial
-        // action step performs the pushes in merged pop order.
+        // (time, seq).  Within a phase, up/down and link state are frozen,
+        // and every push lands in a later window, so each wheel replays its
+        // own nodes' events independently and the serial action step
+        // performs the pushes in merged pop order.
         for (std::size_t lo = 0; lo < work_.size();) {
             if (work_[lo].kind == kRFault) {
-                apply_fault(plan.events[work_[lo++].payload]);
+                fsession_.apply(plan.events[work_[lo++].payload]);
                 continue;
             }
             std::size_t hi = lo;
             while (hi < work_.size() && work_[hi].kind != kRFault) ++hi;
-            refresh_keys();
             const auto phase = [&](std::size_t wi) {
                 replay_wheel(scratch_[wi], lo, hi, static_cast<NodeId>(wi * block_), block_);
             };
@@ -718,7 +681,7 @@ ScaleResult ScaleEngine::run_exact(NodeId source) {
 }
 
 ScaleResult ScaleEngine::run(NodeId source) {
-    if (const std::size_t n = graph_->node_count(); n > 0 && source >= n) {
+    if (const std::size_t n = graph_.node_count(); n > 0 && source >= n) {
         throw std::invalid_argument("ScaleEngine::run: source " + std::to_string(source) +
                                     " out of range for " + std::to_string(n) + " nodes");
     }
@@ -730,7 +693,7 @@ ScaleResult ScaleEngine::run(NodeId source) {
         return run_exact(source);
     }
 
-    const std::size_t n = graph_->node_count();
+    const std::size_t n = graph_.node_count();
     std::fill(received_.begin(), received_.end(), 0);
     std::fill(forwarded_.begin(), forwarded_.end(), 0);
     for (Wheel& wheel : wheels_) wheel = Wheel{};
@@ -746,7 +709,7 @@ ScaleResult ScaleEngine::run(NodeId source) {
     forwarded_[source] = 1;
     {
         const std::size_t w = wheel_of(source);
-        for (NodeId x : graph_->neighbors(source)) {
+        for (NodeId x : graph_.neighbors(source)) {
             prev_[w * config_.wheels + wheel_of(x)].push_back(
                 {config_.delay, x, source});
         }

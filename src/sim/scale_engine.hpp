@@ -39,8 +39,7 @@
 /// insertion sequence the Simulator would give it, so a window sorted by
 /// (time, seq) IS the Simulator's pop order.  Each window then runs:
 ///
-///   1. fault prefix (serial): the window's plan events; with
-///      `churn_updates_views` also the graph flaps and a key rebuild;
+///   1. fault prefix (serial): the window's plan events;
 ///   2. per-wheel phase (parallel over wheels): each wheel walks the
 ///      window's events in pop order and updates only its own nodes —
 ///      first receipt, the forwarding verdict, suppression at down nodes,
@@ -66,12 +65,11 @@
 /// (tests/scale_engine_test.cpp proves it across seeds × wheels × jobs, and
 /// the fuzzer's scale oracle keeps proving it continuously).
 ///
-/// Every decision reads the current graph — the shortcut its rows, the
-/// compile its ball in O(ball edges) into scratch sized to the ball, not to
-/// n — with no standing per-node memory, so topology churn (`add_edge`/
-/// `remove_edge` between runs, or `churn_updates_views` inside a faulted
-/// run) needs no invalidation: the next decision simply reads the flapped
-/// graph.
+/// The engine reads one immutable graph, the constructor's, and builds its
+/// priority keys once.  Every decision reads that graph — the shortcut its
+/// rows, the compile its ball in O(ball edges) into scratch sized to the
+/// ball, not to n.  Link churn in a fault plan gates links through
+/// `faults::FaultSession`, exactly as in `Simulator`; views never change.
 ///
 /// Both pipelines parallelize over wheels with any number of worker
 /// threads; the result (counts, completion time, and the order digest) is
@@ -89,8 +87,7 @@
 /// Delivery sets, counters, outcome classification and the
 /// transmission-order digest are byte-identical to
 /// `Simulator::broadcast_resilient` AND invariant under (wheels x jobs).
-/// See docs/SCALING.md "Faults at scale" for the window-bucketing contract
-/// and the semantics delta of `ScaleConfig::churn_updates_views`.
+/// See docs/SCALING.md "Faults at scale" for the window-bucketing contract.
 
 #pragma once
 
@@ -140,15 +137,6 @@ struct ScaleConfig {
     /// hops == 0 (global views cost O(n) per decision — use Simulator).
     GenericConfig generic;
     ScaleViewMode view_mode = ScaleViewMode::kScratch;  ///< never read (see enum)
-    /// Faulted runs only: when true, link churn events (kLinkDown/kLinkUp)
-    /// additionally flap the engine's own copy of the graph
-    /// (`add_edge`/`remove_edge`), so later coverage decisions — which
-    /// compile their views from the current graph — and fanouts track the
-    /// churned topology.  This is a *realism* mode: the reference
-    /// Simulator keeps its views static under churn (links are only
-    /// gated), so the differential byte-for-byte contract holds only with
-    /// the default `false`.
-    bool churn_updates_views = false;
 };
 
 struct ScaleResult {
@@ -194,10 +182,10 @@ struct ScaleResult {
 
 class ScaleEngine {
   public:
-    /// The graph must outlive the engine (unless a topology flap is
-    /// applied, after which the engine operates on its own copy).  Throws
-    /// std::invalid_argument on a non-positive delay, zero wheel or job
-    /// count, or generic-policy knobs the engine cannot honor.
+    /// The graph must outlive the engine, which reads it unchanged for
+    /// every run.  Throws std::invalid_argument on a non-positive delay,
+    /// zero wheel or job count, or generic-policy knobs the engine cannot
+    /// honor.
     ScaleEngine(const Graph& graph, ScaleConfig config = {});
     ~ScaleEngine();
 
@@ -210,17 +198,6 @@ class ScaleEngine {
     [[nodiscard]] ScaleResult run(NodeId source);
 
     [[nodiscard]] const ScaleConfig& config() const noexcept { return config_; }
-
-    /// The topology the next run will use (the constructor argument until
-    /// the first flap, the engine's own churned copy afterwards).
-    [[nodiscard]] const Graph& graph() const noexcept { return *graph_; }
-
-    /// Applies a topology flap between runs (adding an existing edge /
-    /// removing an absent one is a no-op).  The first flap copies the
-    /// graph; later decisions compile their views from the copy.  Must not
-    /// be called while `run` is executing.
-    void add_edge(NodeId u, NodeId v);
-    void remove_edge(NodeId u, NodeId v);
 
     /// Attaches a fault schedule for subsequent runs (nullptr detaches).
     /// The plan must outlive the engine.  Throws `std::invalid_argument`
@@ -253,7 +230,7 @@ class ScaleEngine {
 
     /// Engine-owned working memory (per-node state, staging-bucket and
     /// faulted-plane high-water marks, per-wheel view scratch), for the
-    /// bench's bytes/node metric.  A churned graph copy is not counted.
+    /// bench's bytes/node metric.  The borrowed graph is not counted.
     [[nodiscard]] std::size_t state_bytes() const noexcept;
 
     /// Fan-out gate: a window runs on the worker crew only when `jobs > 1`
@@ -339,7 +316,6 @@ class ScaleEngine {
     void process_wheel(std::size_t w);
 
     void validate_generic_config() const;
-    void flap(NodeId u, NodeId v, bool add);
     /// The coverage decision: true iff `v`, whose first received packet
     /// came from `sender` carrying history `chain`, forwards.
     [[nodiscard]] bool decide(WheelScratch& ws, NodeId v, NodeId sender,
@@ -353,7 +329,6 @@ class ScaleEngine {
                       std::size_t count);
     /// The serial action step: runs `actions_` (merged, in pop order).
     void run_actions();
-    void apply_fault(const faults::FaultEvent& fe);
     [[nodiscard]] std::size_t window_index(double time) const noexcept;
     /// The calendar bucket of `time`'s window (grown on demand).
     [[nodiscard]] std::vector<REvent>& bucket(double time);
@@ -379,7 +354,7 @@ class ScaleEngine {
         return fault_plan_ != nullptr || recovery_on();
     }
 
-    const Graph* graph_;
+    const Graph& graph_;
     ScaleConfig config_;
     std::size_t block_ = 1;  ///< nodes per wheel (last wheel may be short)
 
@@ -404,9 +379,7 @@ class ScaleEngine {
     std::vector<std::vector<Staged>> cur_;
 
     // ---- kGenericCoverage state --------------------------------------
-    PriorityKeys keys_;       ///< static priority keys of the current graph
-    bool keys_stale_ = false;  ///< a flap changed degrees/ncr: rebuild lazily
-    std::optional<Graph> churn_graph_;  ///< mutable copy, made on the first flap
+    PriorityKeys keys_;  ///< static priority keys of `graph_`
 
     // ---- exact-order pipeline state -----------------------------------
     std::vector<WheelScratch> scratch_;  ///< one per wheel

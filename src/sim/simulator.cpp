@@ -92,13 +92,12 @@ BroadcastResult Simulator::run(NodeId source, Agent& agent, Rng& rng) {
     return finish();
 }
 
-void Simulator::begin(NodeId source, Agent& agent, Rng& rng, double start_time) {
+void Simulator::begin(NodeId source, Agent& agent, Rng& rng) {
     assert(graph_->contains(source));
     reset(graph_->node_count());
     source_ = source;
     rng_ = &rng;
     agent_ = &agent;
-    now_ = start_time;
     if (fault_plan_ != nullptr) {
         fault_session_.reset(*fault_plan_, graph_->node_count());
         // Queue the whole schedule up front: fault events at time t carry
@@ -106,7 +105,7 @@ void Simulator::begin(NodeId source, Agent& agent, Rng& rng, double start_time) 
         // always beats same-instant deliveries (a node cannot receive at
         // the very instant it dies).
         for (std::size_t i = 0; i < fault_plan_->events.size(); ++i) {
-            const double at = std::max(fault_plan_->events[i].time, start_time);
+            const double at = std::max(fault_plan_->events[i].time, 0.0);
             queue_.push(at, EventKind::kFault, fault_plan_->events[i].node, i);
         }
     } else {
@@ -115,8 +114,6 @@ void Simulator::begin(NodeId source, Agent& agent, Rng& rng, double start_time) 
     tel::gauge_sample(kNodesGauge, graph_->node_count());
     agent.start(*this, source, rng);
 }
-
-double Simulator::next_time() const { return queue_.peek().time; }
 
 void Simulator::note_arrival(NodeId node, double at) {
     auto& times = arrivals_[node];
@@ -310,10 +307,6 @@ std::size_t Simulator::schedule_deliveries(NodeId sender, EventKind kind,
     return fanout;
 }
 
-void Simulator::reserve_hint(std::size_t in_flight_packets, std::size_t pending_events) {
-    transmissions_.reserve(in_flight_packets);
-    queue_.reserve(pending_events);
-}
 
 void Simulator::transmit(NodeId v, BroadcastState state) {
     assert(graph_->contains(v));

@@ -100,27 +100,8 @@ class Simulator {
     /// match the graph's node count.
     explicit Simulator(const Graph& graph, MediumConfig medium = {});
 
-    /// Runs one broadcast from `source` under `agent` (begin + drain +
-    /// finish).
+    /// Runs one broadcast from `source` under `agent` to quiescence.
     BroadcastResult run(NodeId source, Agent& agent, Rng& rng);
-
-    // ---- Steppable API (used by sessions and debuggers) --------------
-
-    /// Arms a broadcast without processing events.  `agent` and `rng`
-    /// must outlive the stepping phase.
-    void begin(NodeId source, Agent& agent, Rng& rng, double start_time = 0.0);
-
-    /// True while events remain.
-    [[nodiscard]] bool has_pending() const noexcept { return !queue_.empty(); }
-
-    /// Timestamp of the next event.  Precondition: has_pending().
-    [[nodiscard]] double next_time() const;
-
-    /// Processes exactly one event.  Precondition: has_pending().
-    void step();
-
-    /// Collects the result (normally after the queue drains).
-    [[nodiscard]] BroadcastResult finish();
 
     /// Enables event tracing for subsequent runs.
     void enable_trace() { trace_enabled_ = true; }
@@ -130,12 +111,6 @@ class Simulator {
     /// begin() and applied in event order.  Throws `std::invalid_argument`
     /// (via `faults::validate_plan`) on a structurally invalid plan.
     void attach_faults(const faults::FaultPlan* plan);
-
-    /// Pre-sizes in-flight storage from workload knowledge (e.g. session
-    /// count x expected forwards): packet arena slots scale with expected
-    /// *concurrent* packets, the event queue with their delivery fanout.
-    /// Purely a performance hint; storage still grows on demand.
-    void reserve_hint(std::size_t in_flight_packets, std::size_t pending_events);
 
     // ---- API available to agents during callbacks -------------------
 
@@ -176,6 +151,13 @@ class Simulator {
 
   private:
     void reset(std::size_t n);
+    /// Arms a broadcast from `source` at time 0 without processing events.
+    void begin(NodeId source, Agent& agent, Rng& rng);
+    [[nodiscard]] bool has_pending() const noexcept { return !queue_.empty(); }
+    /// Processes exactly one event.  Precondition: has_pending().
+    void step();
+    /// Collects the result once the queue has drained.
+    [[nodiscard]] BroadcastResult finish();
     /// Fans one packet (data or control) out of `sender`: per-link fault
     /// gating, medium loss/jitter, and collision bookkeeping.  Returns the
     /// number of delivery events queued (the packet slot's refcount).
