@@ -802,7 +802,7 @@ int main(int argc, char** argv) {
         for (const auto& spec : registry) wanted.push_back(&spec);
     }
 
-    bench::BenchOptions opts = bench::parse_options(argc, argv);
+    bench::BenchOptions opts = bench::parse_options(argc, argv, {"--list"}, {"--figures"});
     opts.progress = true;  // the campaign driver always reports progress
 
     // --json and --gnuplot name DIRECTORIES here: one file set per figure.

@@ -18,7 +18,9 @@
 ///   --gnuplot P  write gnuplot-ready data files P_<panel>.dat
 ///   --progress   progress/ETA line per panel on stderr
 /// bench_campaign reads --json and --gnuplot as directories and derives
-/// one PATH / P per figure from them.
+/// one PATH / P per figure from them.  An unknown flag, a flag missing its
+/// value or a value that does not parse exits 2 with a usage message;
+/// each binary names the flags it adds to `parse_options`.
 ///
 /// Each figure runs in one `Bench` session, which runs its panels and
 /// whose `finish()` gives the exit status: the session aggregates delivery
@@ -28,13 +30,16 @@
 
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -144,34 +149,49 @@ auto parse_flag(const std::string& flag, const char* text, Parse parse) {
     return *value;
 }
 
-inline BenchOptions parse_options(int argc, char** argv) {
+/// Parses the shared flags.  `own_switches` (standalone) and `own_valued`
+/// (followed by a value) name the flags the calling binary parses itself;
+/// they are skipped, and any other flag is a usage error.
+inline BenchOptions parse_options(int argc, char** argv,
+                                  std::initializer_list<std::string_view> own_switches = {},
+                                  std::initializer_list<std::string_view> own_valued = {}) {
     BenchOptions opts;
-    // Numeric values must parse in full (io/cli.hpp): "--runs 5x" used to
-    // silently run 5 and "--runs x" ran 0.  Unknown arguments are still
-    // ignored — wrappers (bench_campaign) route their own flags through
-    // the same argv.
+    // Numeric values must parse in full (io/cli.hpp), and an unknown flag
+    // or a missing value is a usage error: a typo must not run the sweep
+    // with a default in its place.
+    const auto is_one_of = [](std::initializer_list<std::string_view> flags,
+                              const std::string& arg) {
+        return std::find(flags.begin(), flags.end(), arg) != flags.end();
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--runs" && i + 1 < argc) {
-            opts.max_runs = parse_flag(arg, argv[++i], io::parse_size);
+        if (arg == "--runs") {
+            opts.max_runs = parse_flag(arg, flag_value(argc, argv, i), io::parse_size);
         } else if (arg == "--full") {
             opts.max_runs = 2000;
-        } else if (arg == "--seed" && i + 1 < argc) {
-            opts.seed = parse_flag(arg, argv[++i], io::parse_u64);
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            opts.jobs = parse_flag(arg, argv[++i], io::parse_size);
-        } else if (arg == "--json" && i + 1 < argc) {
-            opts.json_path = argv[++i];
+        } else if (arg == "--seed") {
+            opts.seed = parse_flag(arg, flag_value(argc, argv, i), io::parse_u64);
+        } else if (arg == "--jobs") {
+            opts.jobs = parse_flag(arg, flag_value(argc, argv, i), io::parse_size);
+        } else if (arg == "--json") {
+            opts.json_path = flag_value(argc, argv, i);
         } else if (arg == "--csv") {
             opts.csv = true;
         } else if (arg == "--progress") {
             opts.progress = true;
-        } else if (arg == "--gnuplot" && i + 1 < argc) {
-            opts.gnuplot_prefix = argv[++i];
+        } else if (arg == "--gnuplot") {
+            opts.gnuplot_prefix = flag_value(argc, argv, i);
         } else if (arg == "--help") {
             std::cout << "options: --runs N | --full | --seed S | --jobs N | --json PATH | "
-                         "--csv | --gnuplot PREFIX | --progress\n";
+                         "--csv | --gnuplot PREFIX | --progress";
+            for (const std::string_view flag : own_switches) std::cout << " | " << flag;
+            for (const std::string_view flag : own_valued) std::cout << " | " << flag << " V";
+            std::cout << '\n';
             std::exit(0);
+        } else if (is_one_of(own_valued, arg)) {
+            flag_value(argc, argv, i);
+        } else if (!is_one_of(own_switches, arg)) {
+            usage_error("unknown option: " + arg);
         }
     }
     return opts;

@@ -314,7 +314,7 @@ void write_json(std::ostream& out, const std::vector<Panel>& panels,
 }  // namespace
 
 int main(int argc, char** argv) {
-    const bench::BenchOptions opts = bench::parse_options(argc, argv);
+    const bench::BenchOptions opts = bench::parse_options(argc, argv, {"--smoke"});
     bool smoke = false;
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]) == "--smoke") smoke = true;

@@ -311,18 +311,25 @@ CoverageOutcome evaluate_coverage_compiled(LocalViewScratch& s, std::uint32_t lv
     return {.covered = true};
 }
 
-bool covered_without_view(const Graph& g, NodeId v, const Priority& pv,
-                          const PriorityKeys& keys, std::span<const NodeId> visited,
-                          bool rule1) {
+Settled settle_without_view(const Graph& g, NodeId v, const Priority& pv,
+                            const PriorityKeys& keys, std::span<const NodeId> visited,
+                            bool rule1) {
     const auto nv = g.neighbors(v);
-    if (nv.size() <= 1) return true;
-    if (!rule1) return false;
+    if (nv.size() <= 1) return Settled::kPruned;
+    const auto outranks_v = [&](NodeId x) {
+        const bool is_visited = std::find(visited.begin(), visited.end(), x) != visited.end();
+        return keys.evaluate(x, is_visited ? NodeStatus::kVisited : NodeStatus::kUnvisited) > pv;
+    };
     for (const NodeId u : nv) {
-        const bool is_visited = std::find(visited.begin(), visited.end(), u) != visited.end();
-        const NodeStatus st = is_visited ? NodeStatus::kVisited : NodeStatus::kUnvisited;
-        if (keys.evaluate(u, st) > pv && neighbors_covered_by(g, v, u)) return true;
+        if (outranks_v(u)) {
+            if (rule1 && neighbors_covered_by(g, v, u)) return Settled::kPruned;
+        } else if (std::ranges::none_of(g.neighbors(u),
+                                        [&](NodeId x) { return x != v && outranks_v(x); }) &&
+                   !neighbors_covered_by(g, v, u)) {
+            return Settled::kForwards;
+        }
     }
-    return false;
+    return Settled::kUnsettled;
 }
 
 CoverageOutcome evaluate_coverage(const View& view, NodeId v, const CoverageOptions& opts,

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -90,22 +91,42 @@ struct CoverageOutcome {
                                                          const Priority& pv,
                                                          const CoverageOptions& opts);
 
-/// The coverage condition's special cases that need no view (PAPER.md §1
-/// item 5).  True iff `v` is covered because it has at most one neighbor
-/// (no pair to connect), or — only when `rule1` — because some neighbor u
-/// with Pr(u) > `pv` is adjacent to every other neighbor of v (Wu–Li's
-/// Rule 1: u is the lone intermediate of every replacement path).  u's
-/// status is kVisited iff it is in `visited`, else kUnvisited.  A false
-/// result decides nothing: the view must be built.
-[[nodiscard]] bool covered_without_view(const Graph& g, NodeId v, const Priority& pv,
-                                        const PriorityKeys& keys,
-                                        std::span<const NodeId> visited, bool rule1);
+/// Verdict of the coverage condition's view-free special cases.
+enum class Settled : std::uint8_t {
+    kUnsettled,  ///< no special case applies: the view must be built
+    kPruned,     ///< covered: v takes non-forward status
+    kForwards,   ///< not covered: v forwards
+};
 
-/// True iff a Rule-1 hit of `covered_without_view` implies that
+/// The coverage condition's special cases that need no view (PAPER.md §1
+/// item 5), tried in one walk over N(v) that stops at the first hit.
+/// Statuses are decision-time: x is kVisited iff it is in `visited`.
+///
+/// - **Leaf** (kPruned): v has at most one neighbor, so no pair to connect.
+/// - **Rule 1** (kPruned, only when `rule1`): a neighbor u with Pr(u) >
+///   `pv` is adjacent to every other neighbor of v, so u is the lone
+///   intermediate of every replacement path (Wu–Li's Rule 1).
+/// - **Forward witness** (kForwards): a neighbor u outranked by `pv`, as is
+///   every other node of N[u], misses some other neighbor w of v.  A
+///   replacement path for (u, w) needs a first intermediate in N(u) that
+///   outranks v, and there is none; u and w are not adjacent in any view
+///   G_k(v) ⊆ G.  So the kernel says "not covered" for every k >= 1 and
+///   every `CoverageOptions`: each knob only shrinks the higher-priority
+///   set or the allowed paths, and the visited merge joins components u
+///   does not touch.
+///
+/// When `rule1` holds the two witnesses cannot both exist (Theorem 1), so
+/// the walk order cannot change the verdict.
+[[nodiscard]] Settled settle_without_view(const Graph& g, NodeId v, const Priority& pv,
+                                          const PriorityKeys& keys,
+                                          std::span<const NodeId> visited, bool rule1);
+
+/// True iff a Rule-1 hit of `settle_without_view` implies that
 /// `evaluate_coverage` over v's k-hop view (Definition 2) with `opts`
 /// returns covered: the links among v's neighbors must be visible
 /// (`hops >= 2`) and a path must be allowed one intermediate node
-/// (`max_path_hops` unbounded or >= 2).  The leaf case needs no gate.
+/// (`max_path_hops` unbounded or >= 2).  The leaf case and the forward
+/// witness need no gate.
 [[nodiscard]] constexpr bool rule1_implies_coverage(std::size_t hops,
                                                     const CoverageOptions& opts) noexcept {
     return hops >= 2 && opts.max_path_hops != 1;

@@ -251,11 +251,13 @@ bool ScaleEngine::decide(WheelScratch& ws, NodeId v, NodeId sender,
     }
 
     const Priority pv = keys_.evaluate(v, NodeStatus::kUnvisited);
-    // The view-free special cases settle many verdicts outright; only the
+    // The view-free special cases settle most verdicts outright; only the
     // rest compile a view.
-    if (covered_without_view(graph_, v, pv, keys_, ws.visited,
-                             rule1_implies_coverage(gc.hops, gc.coverage))) {
-        return false;
+    switch (settle_without_view(graph_, v, pv, keys_, ws.visited,
+                                rule1_implies_coverage(gc.hops, gc.coverage))) {
+        case Settled::kPruned: return false;
+        case Settled::kForwards: return true;
+        case Settled::kUnsettled: break;
     }
 
     ++ws.compiles;

@@ -46,9 +46,11 @@
 ///      and the recovery timers and repair budget — recording each push the
 ///      Simulator would make as an action of that event.  A verdict first
 ///      tries the view-free special cases of the coverage condition
-///      (`covered_without_view`: a leaf, or Wu–Li's Rule 1 where
-///      `rule1_implies_coverage` holds), which can only say "pruned" —
-///      the kernel's own verdict.  Only the remaining decisions run the
+///      (`settle_without_view`): a leaf, or Wu–Li's Rule 1 where
+///      `rule1_implies_coverage` holds, says "pruned"; a forward witness
+///      (a neighbor u that misses another neighbor, with v outranking
+///      every other node of N[u]) says "forwards" — each the kernel's
+///      own verdict.  Only the unsettled decisions run the
 ///      coverage kernel of src/core/coverage.cpp over a Definition-2 view
 ///      compiled into per-wheel scratch by `KHopViewBuilder`;
 ///   3. action step (serial): the recorded actions run in merged pop order:
@@ -168,7 +170,7 @@ struct ScaleResult {
     std::vector<char> down;            ///< nodes down at end of run (empty: no faults)
 
     /// kGenericCoverage: decisions that compiled a Definition-2 view, i.e.
-    /// were not settled by the leaf/Rule-1 shortcut (0 for the other
+    /// were not settled by `settle_without_view` (0 for the other
     /// policies).  Summed over wheels; identical at any `jobs`.
     std::size_t view_compiles = 0;
 };

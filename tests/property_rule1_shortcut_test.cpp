@@ -1,15 +1,18 @@
-// Property test of the view-free shortcut (`covered_without_view`).
+// Property test of the view-free special cases (`settle_without_view`).
 //
 // The paper shows that Wu–Li's Rule 1 and the leaf case are special cases
-// of its coverage condition (PAPER.md §1 item 5), so wherever the shortcut
-// says "covered", the coverage kernel over the node's Definition-2 view
-// must say so too — for every knob combination `rule1_implies_coverage`
-// admits.  ScaleEngine prunes on the shortcut without building the view,
-// so a false positive here would silently drop a forwarder there.
+// of its coverage condition (PAPER.md §1 item 5), so wherever they say
+// "pruned", the coverage kernel over the node's Definition-2 view must say
+// "covered" — for every knob combination `rule1_implies_coverage` admits.
+// The forward witness is the other side: wherever it says "forwards", the
+// kernel must say "not covered" under every knob combination.
+// ScaleEngine settles both verdicts without building the view, so a false
+// hit here would silently drop or add a forwarder there.
 //
-// Inputs: unit-disk and G(n, p) graphs, k in {2, 3}, ID/Degree/NCR
-// priorities, Static timing (no visited nodes) and first-receipt timing
-// with random visited chains ending at a neighbor of the decider.
+// Inputs: unit-disk and G(n, p) graphs, k in {1, 2, 3}, ID/Degree/NCR
+// priorities, Static timing (no visited nodes), first-receipt timing with
+// random visited chains ending at a neighbor of the decider, and arbitrary
+// random visited sets (the witness' proof does not use the chain's shape).
 
 #include <gtest/gtest.h>
 
@@ -54,7 +57,16 @@ std::vector<NodeId> random_chain(const Graph& g, NodeId v, Rng& rng) {
     return chain;
 }
 
-/// The coverage option sets the shortcut is checked against.
+/// A visited set of any shape: each node but `v` with probability 1/4.
+std::vector<NodeId> random_visited_set(const Graph& g, NodeId v, Rng& rng) {
+    std::vector<NodeId> visited;
+    for (NodeId x = 0; x < g.node_count(); ++x) {
+        if (x != v && rng.chance(0.25)) visited.push_back(x);
+    }
+    return visited;
+}
+
+/// The coverage option sets the special cases are checked against.
 std::vector<CoverageOptions> option_sets() {
     std::vector<CoverageOptions> out(1);  // full condition, unbounded paths
     out.emplace_back().strong = true;
@@ -67,27 +79,48 @@ std::vector<CoverageOptions> option_sets() {
 
 struct Tally {
     std::size_t decisions = 0;
-    std::size_t fired = 0;
+    std::size_t pruned = 0;     ///< leaf or Rule 1
+    std::size_t forwards = 0;   ///< forward witness
+    std::size_t gated = 0;      ///< decisions with Rule 1 admitted (k >= 2)
+    std::size_t rule1_hits = 0; ///< pruned among the gated decisions
 };
 
+enum class Visits { kStatic, kChain, kAnySet };
+
+const char* to_string(Visits visits) {
+    switch (visits) {
+        case Visits::kStatic: return "Static";
+        case Visits::kChain: return "FR";
+        case Visits::kAnySet: return "any-visited-set";
+    }
+    return "?";
+}
+
 /// Checks every node of `g` with at least one neighbor: wherever the
-/// shortcut fires, every admitted option set's kernel verdict is covered.
+/// special cases settle a verdict, every option set's kernel verdict
+/// agrees (covered for kPruned, not covered for kForwards).
 void check_graph(const Graph& g, const std::string& name, Rng& rng, Tally& tally) {
     const std::size_t n = g.node_count();
     const std::vector<CoverageOptions> options = option_sets();
     for (const PriorityScheme scheme :
          {PriorityScheme::kId, PriorityScheme::kDegree, PriorityScheme::kNcr}) {
         const PriorityKeys keys(g, scheme);
-        for (const std::size_t k : {2u, 3u}) {
-            for (const bool first_receipt : {false, true}) {
+        for (const std::size_t k : {1u, 2u, 3u}) {
+            const bool rule1 = rule1_implies_coverage(k, CoverageOptions{});
+            for (const Visits visits : {Visits::kStatic, Visits::kChain, Visits::kAnySet}) {
                 for (NodeId v = 0; v < n; ++v) {
                     if (g.degree(v) == 0) continue;
                     std::vector<NodeId> visited;
-                    if (first_receipt) visited = random_chain(g, v, rng);
+                    if (visits == Visits::kChain) visited = random_chain(g, v, rng);
+                    if (visits == Visits::kAnySet) visited = random_visited_set(g, v, rng);
                     const Priority pv = keys.evaluate(v, NodeStatus::kUnvisited);
                     ++tally.decisions;
-                    if (!covered_without_view(g, v, pv, keys, visited, true)) continue;
-                    ++tally.fired;
+                    tally.gated += rule1 ? 1 : 0;
+                    const Settled verdict = settle_without_view(g, v, pv, keys, visited, rule1);
+                    if (verdict == Settled::kUnsettled) continue;
+                    const bool pruned = verdict == Settled::kPruned;
+                    ++(pruned ? tally.pruned : tally.forwards);
+                    tally.rule1_hits += pruned && rule1 ? 1 : 0;
 
                     const LocalTopology topo = local_topology(g, v, k);
                     std::vector<NodeStatus> status(n, NodeStatus::kUnvisited);
@@ -96,10 +129,14 @@ void check_graph(const Graph& g, const std::string& name, Rng& rng, Tally& tally
                     LocalViewScratch& s = LocalViewScratch::tls();
                     s.compile(view);
                     for (const CoverageOptions& opts : options) {
-                        ASSERT_TRUE(rule1_implies_coverage(k, opts));
-                        EXPECT_TRUE(evaluate_coverage_compiled(s, s.local_of(v), pv, opts).covered)
-                            << name << " " << to_string(scheme) << " k=" << k
-                            << (first_receipt ? " FR" : " Static") << " v=" << v
+                        if (pruned && g.degree(v) > 1) {
+                            ASSERT_TRUE(rule1_implies_coverage(k, opts));
+                        }
+                        EXPECT_EQ(evaluate_coverage_compiled(s, s.local_of(v), pv, opts).covered,
+                                  pruned)
+                            << name << " " << to_string(scheme) << " k=" << k << " "
+                            << to_string(visits) << " v=" << v
+                            << (pruned ? " pruned" : " forwards")
                             << " strong=" << opts.strong
                             << " max_path_hops=" << opts.max_path_hops
                             << " radius=" << opts.coverage_radius
@@ -109,6 +146,12 @@ void check_graph(const Graph& g, const std::string& name, Rng& rng, Tally& tally
             }
         }
     }
+}
+
+void print_rates(const char* family, const Tally& tally) {
+    std::cout << family << ": pruned (leaf or Rule 1) " << tally.pruned << ", forward witness "
+              << tally.forwards << " of " << tally.decisions << " decisions ("
+              << tally.rule1_hits << " pruned of " << tally.gated << " with Rule 1 admitted)\n";
 }
 
 TEST(Rule1Shortcut, ImpliesCoveredOnUnitDiskGraphs) {
@@ -123,10 +166,11 @@ TEST(Rule1Shortcut, ImpliesCoveredOnUnitDiskGraphs) {
             check_graph(net.graph, "unit-disk d=" + std::to_string(degree), rng, tally);
         }
     }
-    // Non-trivial: the ROADMAP measured ~37% of decisions at n=10^6.
-    EXPECT_GT(tally.fired * 5, tally.decisions) << tally.fired << "/" << tally.decisions;
-    std::cout << "unit-disk: shortcut fired on " << tally.fired << " of " << tally.decisions
-              << " decisions\n";
+    // Non-trivial: at n=10^6 Rule 1 settles ~37% of decisions and the
+    // forward witness ~30%; visited sets make the witness rarer here.
+    EXPECT_GT(tally.rule1_hits * 5, tally.gated) << tally.rule1_hits << "/" << tally.gated;
+    EXPECT_GT(tally.forwards * 10, tally.decisions) << tally.forwards << "/" << tally.decisions;
+    print_rates("unit-disk", tally);
 }
 
 TEST(Rule1Shortcut, ImpliesCoveredOnGnpGraphs) {
@@ -145,9 +189,9 @@ TEST(Rule1Shortcut, ImpliesCoveredOnGnpGraphs) {
                         rng, tally);
         }
     }
-    EXPECT_GT(tally.fired * 10, tally.decisions) << tally.fired << "/" << tally.decisions;
-    std::cout << "G(n, p): shortcut fired on " << tally.fired << " of " << tally.decisions
-              << " decisions\n";
+    EXPECT_GT(tally.rule1_hits * 10, tally.gated) << tally.rule1_hits << "/" << tally.gated;
+    EXPECT_GT(tally.forwards * 10, tally.decisions) << tally.forwards << "/" << tally.decisions;
+    print_rates("G(n, p)", tally);
 }
 
 TEST(Rule1Shortcut, GateExcludesKnobsWhereRuleOneIsNotCoverage) {
@@ -165,8 +209,9 @@ TEST(Rule1Shortcut, GateExcludesKnobsWhereRuleOneIsNotCoverage) {
     g.add_edge(2, 3);
     const PriorityKeys keys(g, PriorityScheme::kId);
     const Priority pv = keys.evaluate(0, NodeStatus::kUnvisited);
-    ASSERT_TRUE(covered_without_view(g, 0, pv, keys, {}, true));
-    EXPECT_FALSE(covered_without_view(g, 0, pv, keys, {}, false));  // no leaf
+    ASSERT_EQ(settle_without_view(g, 0, pv, keys, {}, true), Settled::kPruned);
+    // No leaf, and every neighbor outranks node 0, so no forward witness.
+    EXPECT_EQ(settle_without_view(g, 0, pv, keys, {}, false), Settled::kUnsettled);
 
     CoverageOptions one_hop_paths;
     one_hop_paths.max_path_hops = 1;
@@ -186,9 +231,85 @@ TEST(Rule1Shortcut, LeafIsCoveredUnderAnyKnobs) {
     const Graph g = path_graph(3);  // 0 - 1 - 2
     const PriorityKeys keys(g, PriorityScheme::kId);
     const Priority p0 = keys.evaluate(0, NodeStatus::kUnvisited);
-    EXPECT_TRUE(covered_without_view(g, 0, p0, keys, {}, false));  // leaf, gate off
+    // A leaf, with the Rule-1 gate off.
+    EXPECT_EQ(settle_without_view(g, 0, p0, keys, {}, false), Settled::kPruned);
+    // 0 and 2 unlinked, and leaf 0 ranks below 1: the forward witness.
     const Priority p1 = keys.evaluate(1, NodeStatus::kUnvisited);
-    EXPECT_FALSE(covered_without_view(g, 1, p1, keys, {}, true));  // 0 and 2 unlinked
+    EXPECT_EQ(settle_without_view(g, 1, p1, keys, {}, true), Settled::kForwards);
+}
+
+/// Statuses with exactly `visited` visited.
+std::vector<NodeStatus> statuses(const Graph& g, const std::vector<NodeId>& visited) {
+    std::vector<NodeStatus> status(g.node_count(), NodeStatus::kUnvisited);
+    for (const NodeId x : visited) status[x] = NodeStatus::kVisited;
+    return status;
+}
+
+TEST(ForwardWitness, FiresWhenNoNeighborOfUOutranksV) {
+    // ID priority, v = 5 with neighbors 1, 6, 7.  Node 1's other neighbors
+    // 0 and 2 rank below 5, and 1 misses 6: v forwards, although G holds
+    // the path 1 - 2 - 7 - 6 (its intermediate 2 ranks below v).
+    Graph g(8);
+    for (const NodeId x : {1, 6, 7}) g.add_edge(5, x);
+    g.add_edge(1, 0);
+    g.add_edge(1, 2);
+    g.add_edge(2, 7);
+    g.add_edge(6, 7);
+    const PriorityKeys keys(g, PriorityScheme::kId);
+    const Priority pv = keys.evaluate(5, NodeStatus::kUnvisited);
+    for (const bool rule1 : {false, true}) {
+        EXPECT_EQ(settle_without_view(g, 5, pv, keys, {}, rule1), Settled::kForwards);
+    }
+    const std::vector<NodeStatus> status = statuses(g, {});
+    for (const std::size_t k : {1u, 2u, 3u}) {
+        const LocalTopology topo = local_topology(g, 5, k);
+        for (const CoverageOptions& opts : option_sets()) {
+            EXPECT_FALSE(evaluate_coverage(View(&topo, &status, &keys), 5, opts).covered)
+                << "k=" << k << " strong=" << opts.strong
+                << " max_path_hops=" << opts.max_path_hops
+                << " radius=" << opts.coverage_radius << " merge=" << opts.merge_visited;
+        }
+    }
+}
+
+TEST(ForwardWitness, SilentWhenUIsAdjacentToAllOtherNeighbors) {
+    // v = 5's neighbors 1, 2, 3 all rank below it and form a triangle:
+    // each u sees every other neighbor, so the full condition over a
+    // k >= 2 view covers v with no intermediate.  Neither special case
+    // applies.
+    Graph g(6);
+    for (const NodeId x : {1, 2, 3}) g.add_edge(5, x);
+    g.add_edge(1, 2);
+    g.add_edge(1, 3);
+    g.add_edge(2, 3);
+    g.add_edge(0, 1);
+    const PriorityKeys keys(g, PriorityScheme::kId);
+    const Priority pv = keys.evaluate(5, NodeStatus::kUnvisited);
+    EXPECT_EQ(settle_without_view(g, 5, pv, keys, {}, true), Settled::kUnsettled);
+    const std::vector<NodeStatus> status = statuses(g, {});
+    for (const std::size_t k : {2u, 3u}) {
+        const LocalTopology topo = local_topology(g, 5, k);
+        EXPECT_TRUE(evaluate_coverage(View(&topo, &status, &keys), 5).covered) << "k=" << k;
+    }
+}
+
+TEST(ForwardWitness, SilentWhenUIsVisited) {
+    // v = 5's neighbors are 1 and 2, and 1 has no other neighbor.  With 1
+    // and 3 visited, 1 outranks v and shares the merged visited component
+    // with 3, which is adjacent to 2: the pair (1, 2) is covered.  The
+    // witness must not take 1, however low its id.
+    Graph g(6);
+    g.add_edge(5, 1);
+    g.add_edge(5, 2);
+    g.add_edge(2, 3);
+    g.add_edge(3, 0);
+    const PriorityKeys keys(g, PriorityScheme::kId);
+    const Priority pv = keys.evaluate(5, NodeStatus::kUnvisited);
+    const std::vector<NodeId> visited = {1, 3};
+    EXPECT_EQ(settle_without_view(g, 5, pv, keys, visited, true), Settled::kUnsettled);
+    const std::vector<NodeStatus> status = statuses(g, visited);
+    const LocalTopology topo = local_topology(g, 5, 2);
+    EXPECT_TRUE(evaluate_coverage(View(&topo, &status, &keys), 5).covered);
 }
 
 }  // namespace
