@@ -316,16 +316,19 @@ Settled settle_without_view(const Graph& g, NodeId v, const Priority& pv,
                             bool rule1) {
     const auto nv = g.neighbors(v);
     if (nv.size() <= 1) return Settled::kPruned;
+    const auto is_visited = [&](NodeId x) {
+        return std::find(visited.begin(), visited.end(), x) != visited.end();
+    };
     const auto outranks_v = [&](NodeId x) {
-        const bool is_visited = std::find(visited.begin(), visited.end(), x) != visited.end();
-        return keys.evaluate(x, is_visited ? NodeStatus::kVisited : NodeStatus::kUnvisited) > pv;
+        return keys.evaluate(x, is_visited(x) ? NodeStatus::kVisited : NodeStatus::kUnvisited) >
+               pv;
     };
     for (const NodeId u : nv) {
-        if (outranks_v(u)) {
-            if (rule1 && neighbors_covered_by(g, v, u)) return Settled::kPruned;
-        } else if (std::ranges::none_of(g.neighbors(u),
-                                        [&](NodeId x) { return x != v && outranks_v(x); }) &&
-                   !neighbors_covered_by(g, v, u)) {
+        if (rule1 && outranks_v(u) && neighbors_covered_by(g, v, u)) return Settled::kPruned;
+        if (!is_visited(u) &&
+            std::ranges::none_of(g.neighbors(u),
+                                 [&](NodeId x) { return x != v && outranks_v(x); }) &&
+            !neighbors_covered_by(g, v, u)) {
             return Settled::kForwards;
         }
     }

@@ -106,14 +106,15 @@ enum class Settled : std::uint8_t {
 /// - **Rule 1** (kPruned, only when `rule1`): a neighbor u with Pr(u) >
 ///   `pv` is adjacent to every other neighbor of v, so u is the lone
 ///   intermediate of every replacement path (Wu–Li's Rule 1).
-/// - **Forward witness** (kForwards): a neighbor u outranked by `pv`, as is
-///   every other node of N[u], misses some other neighbor w of v.  A
-///   replacement path for (u, w) needs a first intermediate in N(u) that
-///   outranks v, and there is none; u and w are not adjacent in any view
-///   G_k(v) ⊆ G.  So the kernel says "not covered" for every k >= 1 and
-///   every `CoverageOptions`: each knob only shrinks the higher-priority
-///   set or the allowed paths, and the visited merge joins components u
-///   does not touch.
+/// - **Forward witness** (kForwards): an unvisited neighbor u, none of
+///   whose other neighbors (N(u) \ {v}) outranks `pv`, misses some other
+///   neighbor w of v.  Whatever u's own rank, u is isolated in the
+///   higher-priority subgraph: a replacement path for (u, w) needs a first
+///   intermediate in N(u) that outranks v, there is none, and u and w are
+///   not adjacent in any view G_k(v) ⊆ G.  So the kernel says "not
+///   covered" for every k >= 1 and every `CoverageOptions`: each knob only
+///   shrinks the higher-priority set or the allowed paths, and the visited
+///   merge joins components that an unvisited u does not touch.
 ///
 /// When `rule1` holds the two witnesses cannot both exist (Theorem 1), so
 /// the walk order cannot change the verdict.

@@ -167,7 +167,7 @@ TEST(Rule1Shortcut, ImpliesCoveredOnUnitDiskGraphs) {
         }
     }
     // Non-trivial: at n=10^6 Rule 1 settles ~37% of decisions and the
-    // forward witness ~30%; visited sets make the witness rarer here.
+    // forward witness ~34%; visited sets make the witness rarer here.
     EXPECT_GT(tally.rule1_hits * 5, tally.gated) << tally.rule1_hits << "/" << tally.gated;
     EXPECT_GT(tally.forwards * 10, tally.decisions) << tally.forwards << "/" << tally.decisions;
     print_rates("unit-disk", tally);
@@ -210,7 +210,8 @@ TEST(Rule1Shortcut, GateExcludesKnobsWhereRuleOneIsNotCoverage) {
     const PriorityKeys keys(g, PriorityScheme::kId);
     const Priority pv = keys.evaluate(0, NodeStatus::kUnvisited);
     ASSERT_EQ(settle_without_view(g, 0, pv, keys, {}, true), Settled::kPruned);
-    // No leaf, and every neighbor outranks node 0, so no forward witness.
+    // No leaf, and each neighbor of node 0 has another neighbor that
+    // outranks node 0, so no forward witness.
     EXPECT_EQ(settle_without_view(g, 0, pv, keys, {}, false), Settled::kUnsettled);
 
     CoverageOptions one_hop_paths;
@@ -233,7 +234,8 @@ TEST(Rule1Shortcut, LeafIsCoveredUnderAnyKnobs) {
     const Priority p0 = keys.evaluate(0, NodeStatus::kUnvisited);
     // A leaf, with the Rule-1 gate off.
     EXPECT_EQ(settle_without_view(g, 0, p0, keys, {}, false), Settled::kPruned);
-    // 0 and 2 unlinked, and leaf 0 ranks below 1: the forward witness.
+    // 0 and 2 unlinked, and leaf 0 has no other neighbor: the forward
+    // witness.
     const Priority p1 = keys.evaluate(1, NodeStatus::kUnvisited);
     EXPECT_EQ(settle_without_view(g, 1, p1, keys, {}, true), Settled::kForwards);
 }
@@ -260,6 +262,40 @@ TEST(ForwardWitness, FiresWhenNoNeighborOfUOutranksV) {
     for (const bool rule1 : {false, true}) {
         EXPECT_EQ(settle_without_view(g, 5, pv, keys, {}, rule1), Settled::kForwards);
     }
+    const std::vector<NodeStatus> status = statuses(g, {});
+    for (const std::size_t k : {1u, 2u, 3u}) {
+        const LocalTopology topo = local_topology(g, 5, k);
+        for (const CoverageOptions& opts : option_sets()) {
+            EXPECT_FALSE(evaluate_coverage(View(&topo, &status, &keys), 5, opts).covered)
+                << "k=" << k << " strong=" << opts.strong
+                << " max_path_hops=" << opts.max_path_hops
+                << " radius=" << opts.coverage_radius << " merge=" << opts.merge_visited;
+        }
+    }
+}
+
+TEST(ForwardWitness, FiresWhenUOutranksVButNoOtherNeighborOfUDoes) {
+    // ID priority, v = 5 with neighbors 1 and 7.  Node 7 outranks v, but
+    // its other neighbors 0 and 2 do not, so 7 is alone in the
+    // higher-priority subgraph and misses 1: v forwards, although G holds
+    // the path 7 - 2 - 6 - 1.  Node 1 is no witness (its neighbor 6
+    // outranks v), and 7 fails Rule 1, so only the witness at a
+    // higher-ranked u settles this decision.
+    Graph g(8);
+    g.add_edge(5, 1);
+    g.add_edge(5, 7);
+    g.add_edge(7, 0);
+    g.add_edge(7, 2);
+    g.add_edge(2, 6);
+    g.add_edge(1, 6);
+    const PriorityKeys keys(g, PriorityScheme::kId);
+    const Priority pv = keys.evaluate(5, NodeStatus::kUnvisited);
+    for (const bool rule1 : {false, true}) {
+        EXPECT_EQ(settle_without_view(g, 5, pv, keys, {}, rule1), Settled::kForwards);
+    }
+    // A visited 7 joins the merged visited component: no witness.
+    const std::vector<NodeId> seven = {7};
+    EXPECT_EQ(settle_without_view(g, 5, pv, keys, seven, true), Settled::kUnsettled);
     const std::vector<NodeStatus> status = statuses(g, {});
     for (const std::size_t k : {1u, 2u, 3u}) {
         const LocalTopology topo = local_topology(g, 5, k);

@@ -172,24 +172,30 @@ TEST(ScaleEngine, RejectsOutOfRangeSourceOnEveryPath) {
 /// asserts the engine reproduces it byte-for-byte at one (wheels, jobs)
 /// point: forward mask, counts, completion time, and the transmission-order
 /// digest against the trace fold.  Returns the engine's result.
-ScaleResult expect_engine_matches_simulator(const Graph& g, NodeId source,
-                                            const GenericConfig& gc, std::size_t wheels,
-                                            std::size_t jobs) {
-    GenericBroadcast reference(gc);
-    Rng rng(99);  // the honorable axes never draw from it
-    const BroadcastResult ref = reference.broadcast_traced(g, source, rng, MediumConfig{});
-    const std::uint64_t ref_digest = reference_transmission_digest(ref.trace);
-
+ScaleConfig generic_engine_config(const GenericConfig& gc, std::size_t wheels,
+                                  std::size_t jobs) {
     ScaleConfig cfg;
     cfg.policy = ScalePolicy::kGenericCoverage;
     cfg.generic = gc;
     cfg.wheels = wheels;
     cfg.jobs = jobs;
-    ScaleEngine engine(g, cfg);
+    return cfg;
+}
+
+/// Runs `engine` (fresh or reused) from `source` and asserts it reproduces
+/// the reference Simulator byte-for-byte.  Returns the engine's result.
+ScaleResult expect_run_matches_simulator(ScaleEngine& engine, const Graph& g, NodeId source) {
+    const GenericConfig& gc = engine.config().generic;
+    GenericBroadcast reference(gc);
+    Rng rng(99);  // the honorable axes never draw from it
+    const BroadcastResult ref = reference.broadcast_traced(g, source, rng, MediumConfig{});
+    const std::uint64_t ref_digest = reference_transmission_digest(ref.trace);
+
     const ScaleResult got = engine.run(source);
 
     const auto tag = ::testing::Message()
-                     << "wheels=" << wheels << " jobs=" << jobs << " " << gc.summary();
+                     << "source=" << source << " wheels=" << engine.config().wheels
+                     << " jobs=" << engine.config().jobs << " " << gc.summary();
     EXPECT_EQ(engine.forwarded_mask(), ref.transmitted) << tag;
     EXPECT_EQ(engine.received_mask(), ref.received) << tag;
     EXPECT_EQ(got.forward_count, ref.forward_count) << tag;
@@ -198,6 +204,13 @@ ScaleResult expect_engine_matches_simulator(const Graph& g, NodeId source,
     EXPECT_EQ(got.full_delivery, ref.full_delivery) << tag;
     EXPECT_EQ(got.order_digest, ref_digest) << tag;
     return got;
+}
+
+ScaleResult expect_engine_matches_simulator(const Graph& g, NodeId source,
+                                            const GenericConfig& gc, std::size_t wheels,
+                                            std::size_t jobs) {
+    ScaleEngine engine(g, generic_engine_config(gc, wheels, jobs));
+    return expect_run_matches_simulator(engine, g, source);
 }
 
 TEST(ScaleEngineGeneric, FirstReceiptMatchesSimulatorAcrossSeedsWheelsJobs) {
@@ -288,12 +301,7 @@ TEST(ScaleEngineGeneric, DigestIndependentOfWheelsAndJobs) {
     bool have_first = false;
     for (const std::size_t w : {1ULL, 4ULL, 16ULL}) {
         for (const std::size_t j : {1ULL, 8ULL}) {
-            ScaleConfig cfg;
-            cfg.policy = ScalePolicy::kGenericCoverage;
-            cfg.generic = generic_fr_config(2);
-            cfg.wheels = w;
-            cfg.jobs = j;
-            ScaleEngine engine(net.graph, cfg);
+            ScaleEngine engine(net.graph, generic_engine_config(generic_fr_config(2), w, j));
             const ScaleResult r = engine.run(1);
             if (!have_first) {
                 first = r.order_digest;
@@ -305,6 +313,76 @@ TEST(ScaleEngineGeneric, DigestIndependentOfWheelsAndJobs) {
             EXPECT_EQ(r.order_digest, first) << "wheels=" << w << " jobs=" << j;
             EXPECT_EQ(r.view_compiles, first_compiles) << "wheels=" << w << " jobs=" << j;
         }
+    }
+}
+
+/// Two unit-disk networks side by side: node ids [0, a) and [a, a + b).
+Graph disjoint_union(const Graph& a, const Graph& b) {
+    const auto offset = static_cast<NodeId>(a.node_count());
+    Graph g(a.node_count() + b.node_count());
+    for (NodeId v = 0; v < a.node_count(); ++v) {
+        for (const NodeId x : a.neighbors(v)) {
+            if (v < x) g.add_edge(v, x);
+        }
+    }
+    for (NodeId v = 0; v < b.node_count(); ++v) {
+        for (const NodeId x : b.neighbors(v)) {
+            if (v < x) g.add_edge(offset + v, offset + x);
+        }
+    }
+    return g;
+}
+
+TEST(ScaleEngineGeneric, StaticVerdictsRecalledAcrossRuns) {
+    // One Static engine serves a sequence of broadcasts: the first run in
+    // each component computes its verdicts, later runs recall them.  Every
+    // run must still equal a fresh engine and the reference Simulator.
+    const Graph g = disjoint_union(make_network(120, 0x8a1).graph,
+                                   make_network(90, 0x8b2).graph);
+    const NodeId sources[] = {3, 130, 40, 3, 200};  // components A, B, A, A, B
+    const GenericConfig gc = generic_static_config(2);
+    for (const std::size_t w : {1ULL, 3ULL, 8ULL}) {
+        for (const std::size_t j : {1ULL, 4ULL}) {
+            ScaleEngine engine(g, generic_engine_config(gc, w, j));
+            for (std::size_t i = 0; i < std::size(sources); ++i) {
+                const NodeId source = sources[i];
+                const auto tag = ::testing::Message()
+                                 << "run " << i << " source=" << source << " wheels=" << w
+                                 << " jobs=" << j;
+                const ScaleResult got = expect_run_matches_simulator(engine, g, source);
+                const ScaleResult fresh = expect_engine_matches_simulator(g, source, gc, w, j);
+                EXPECT_EQ(got.forward_count, fresh.forward_count) << tag;
+                EXPECT_EQ(got.received_count, fresh.received_count) << tag;
+                EXPECT_EQ(got.delivered_events, fresh.delivered_events) << tag;
+                EXPECT_EQ(got.order_digest, fresh.order_digest) << tag;
+                EXPECT_EQ(fresh.recalled_verdicts, 0u) << tag;
+                // A component's first broadcast computes every verdict.
+                // Later, only its first source has never decided, and a
+                // repeat of that source has nothing left to compute.
+                const std::size_t decisions = got.received_count - 1;
+                const std::size_t computed = i < 2 ? decisions : i == 3 ? 0 : 1;
+                EXPECT_EQ(got.recalled_verdicts, decisions - computed) << tag;
+                EXPECT_LE(got.view_compiles, computed) << tag;
+                if (i < 2) {
+                    EXPECT_EQ(got.view_compiles, fresh.view_compiles) << tag;
+                }
+            }
+        }
+    }
+}
+
+TEST(ScaleEngineGeneric, FirstReceiptEngineReusedAcrossSourcesRecallsNothing) {
+    // FR verdicts read the first packet's chain, so a reused FR engine
+    // recomputes every decision and still equals a fresh one.
+    const UnitDiskNetwork net = make_network(160, 0x8c3);
+    const GenericConfig gc = generic_fr_config(2);
+    ScaleEngine engine(net.graph, generic_engine_config(gc, 4, 4));
+    for (const NodeId source : {5u, 77u, 5u}) {
+        const ScaleResult got = expect_run_matches_simulator(engine, net.graph, source);
+        const ScaleResult fresh = expect_engine_matches_simulator(net.graph, source, gc, 4, 4);
+        EXPECT_EQ(got.order_digest, fresh.order_digest) << "source=" << source;
+        EXPECT_EQ(got.view_compiles, fresh.view_compiles) << "source=" << source;
+        EXPECT_EQ(got.recalled_verdicts, 0u) << "source=" << source;
     }
 }
 

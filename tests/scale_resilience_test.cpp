@@ -137,6 +137,42 @@ class SelfPruneAlgorithm : public BroadcastAlgorithm {
     }
 };
 
+/// The reference resilient Simulator's run of `algo` under `plan`.
+ResilientResult resilient_reference(const BroadcastAlgorithm& algo, const Graph& g,
+                                    NodeId source, const FaultPlan& plan,
+                                    const RecoveryConfig& recovery) {
+    Rng rng(99);  // the honorable axes never draw from it
+    return algo.broadcast_resilient(g, source, rng, MediumConfig{}, plan, recovery,
+                                    /*trace=*/true);
+}
+
+/// Asserts that `engine`'s last run, `got`, reproduces `ref` byte-for-byte.
+void expect_run_matches(const ScaleEngine& engine, const ScaleResult& got,
+                        const ResilientResult& ref, const Graph& g, NodeId source,
+                        const FaultPlan& plan, const ::testing::Message& tag) {
+    const std::uint64_t ref_digest = reference_transmission_digest(ref.result.trace);
+    EXPECT_EQ(engine.received_mask(), ref.result.received) << tag;
+    EXPECT_EQ(engine.forwarded_mask(), ref.result.transmitted) << tag;
+    EXPECT_EQ(got.forward_count, ref.result.forward_count) << tag;
+    EXPECT_EQ(got.received_count, ref.result.received_count) << tag;
+    EXPECT_EQ(got.completion_time, ref.result.completion_time) << tag;
+    EXPECT_EQ(got.full_delivery, ref.result.full_delivery) << tag;
+    EXPECT_EQ(got.retransmit_count, ref.result.retransmit_count) << tag;
+    EXPECT_EQ(got.control_count, ref.result.control_count) << tag;
+    EXPECT_EQ(got.fault_suppressed, ref.result.fault_suppressed) << tag;
+    EXPECT_EQ(got.down, ref.result.down) << tag;
+    EXPECT_EQ(got.order_digest, ref_digest) << tag;
+
+    const ResilienceSummary sum =
+        faults::classify_outcome(g, source, engine.received_mask(), plan);
+    EXPECT_EQ(sum.outcome, ref.summary.outcome) << tag;
+    EXPECT_EQ(sum.up_count, ref.summary.up_count) << tag;
+    EXPECT_EQ(sum.reachable_count, ref.summary.reachable_count) << tag;
+    EXPECT_EQ(sum.delivered_up, ref.summary.delivered_up) << tag;
+    EXPECT_EQ(sum.missed_reachable, ref.summary.missed_reachable) << tag;
+    EXPECT_EQ(sum.delivery_ratio, ref.summary.delivery_ratio) << tag;
+}
+
 /// Runs the reference resilient Simulator once, then asserts the engine
 /// reproduces it byte-for-byte at every (wheels, jobs) grid point.
 /// Returns the last grid point's result.
@@ -144,11 +180,7 @@ ScaleResult expect_resilient_match(const BroadcastAlgorithm& algo, const Graph& 
                                    NodeId source, ScalePolicy policy,
                                    const GenericConfig* gc, const FaultPlan& plan,
                                    const RecoveryConfig& recovery) {
-    Rng rng(99);  // the honorable axes never draw from it
-    const ResilientResult ref = algo.broadcast_resilient(
-        g, source, rng, MediumConfig{}, plan, recovery, /*trace=*/true);
-    const std::uint64_t ref_digest = reference_transmission_digest(ref.result.trace);
-
+    const ResilientResult ref = resilient_reference(algo, g, source, plan, recovery);
     ScaleResult got;
     for (const std::size_t wheels : {1, 3, 8}) {
         for (const std::size_t jobs : {1, 4}) {
@@ -161,31 +193,10 @@ ScaleResult expect_resilient_match(const BroadcastAlgorithm& algo, const Graph& 
             engine.attach_faults(&plan);
             engine.set_recovery(recovery);
             got = engine.run(source);
-
-            const auto tag = ::testing::Message()
-                             << algo.name() << " wheels=" << wheels
-                             << " jobs=" << jobs << " recovery="
-                             << (recovery.enabled ? "on" : "off");
-            EXPECT_EQ(engine.received_mask(), ref.result.received) << tag;
-            EXPECT_EQ(engine.forwarded_mask(), ref.result.transmitted) << tag;
-            EXPECT_EQ(got.forward_count, ref.result.forward_count) << tag;
-            EXPECT_EQ(got.received_count, ref.result.received_count) << tag;
-            EXPECT_EQ(got.completion_time, ref.result.completion_time) << tag;
-            EXPECT_EQ(got.full_delivery, ref.result.full_delivery) << tag;
-            EXPECT_EQ(got.retransmit_count, ref.result.retransmit_count) << tag;
-            EXPECT_EQ(got.control_count, ref.result.control_count) << tag;
-            EXPECT_EQ(got.fault_suppressed, ref.result.fault_suppressed) << tag;
-            EXPECT_EQ(got.down, ref.result.down) << tag;
-            EXPECT_EQ(got.order_digest, ref_digest) << tag;
-
-            const ResilienceSummary sum =
-                faults::classify_outcome(g, source, engine.received_mask(), plan);
-            EXPECT_EQ(sum.outcome, ref.summary.outcome) << tag;
-            EXPECT_EQ(sum.up_count, ref.summary.up_count) << tag;
-            EXPECT_EQ(sum.reachable_count, ref.summary.reachable_count) << tag;
-            EXPECT_EQ(sum.delivered_up, ref.summary.delivered_up) << tag;
-            EXPECT_EQ(sum.missed_reachable, ref.summary.missed_reachable) << tag;
-            EXPECT_EQ(sum.delivery_ratio, ref.summary.delivery_ratio) << tag;
+            expect_run_matches(engine, got, ref, g, source, plan,
+                               ::testing::Message()
+                                   << algo.name() << " wheels=" << wheels << " jobs=" << jobs
+                                   << " recovery=" << (recovery.enabled ? "on" : "off"));
         }
     }
     return got;
@@ -234,6 +245,52 @@ TEST(ScaleResilience, GenericStaticMatchesResilientSimulator) {
                            &gc, plan, recovery_off());
     expect_resilient_match(generic, net.graph, 0, ScalePolicy::kGenericCoverage,
                            &gc, plan, aligned_recovery());
+}
+
+TEST(ScaleResilience, StaticEngineReusedAcrossPlansMatchesResilientSimulator) {
+    // Faults gate nodes and links, never views, so the Static verdicts one
+    // run computes stay valid under any later plan: a reused engine must
+    // still equal a fresh broadcast_resilient run.
+    const GenericConfig gc = generic_static_config(2);  // Static/SP/NCR
+    const GenericBroadcast generic(gc, "Generic Static");
+    const UnitDiskNetwork net = make_network(130, 0x66f);
+    const struct {
+        NodeId source;
+        FaultPlan (*make)(const Graph&, NodeId, std::uint64_t);
+        bool recovery;
+    } runs[] = {{0, &crash_plan, false}, {0, &churn_plan, true}, {17, &crash_plan, true},
+                {17, &churn_plan, false}, {0, &lossy_plan, true}};
+    for (const std::size_t wheels : {1, 3, 8}) {
+        for (const std::size_t jobs : {1, 4}) {
+            ScaleConfig cfg;
+            cfg.policy = ScalePolicy::kGenericCoverage;
+            cfg.generic = gc;
+            cfg.wheels = wheels;
+            cfg.jobs = jobs;
+            ScaleEngine engine(net.graph, cfg);
+            std::size_t recalled = 0;
+            for (std::size_t i = 0; i < std::size(runs); ++i) {
+                const FaultPlan plan = runs[i].make(net.graph, runs[i].source, 0x66f + i);
+                const RecoveryConfig recovery =
+                    runs[i].recovery ? aligned_recovery() : recovery_off();
+                engine.attach_faults(&plan);
+                engine.set_recovery(recovery);
+                const ScaleResult got = engine.run(runs[i].source);
+                expect_run_matches(engine, got,
+                                   resilient_reference(generic, net.graph, runs[i].source,
+                                                       plan, recovery),
+                                   net.graph, runs[i].source, plan,
+                                   ::testing::Message() << "run " << i << " wheels=" << wheels
+                                                        << " jobs=" << jobs);
+                if (i == 0) {
+                    EXPECT_EQ(got.recalled_verdicts, 0u);
+                }
+                recalled += got.recalled_verdicts;
+                engine.attach_faults(nullptr);
+            }
+            EXPECT_GT(recalled, 0u) << "wheels=" << wheels << " jobs=" << jobs;
+        }
+    }
 }
 
 TEST(ScaleResilience, CrewPhaseMatchesResilientSimulatorAboveDecisionGate) {

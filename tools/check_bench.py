@@ -27,15 +27,17 @@ adhoc-resilience-v1 (bench_resilience)
 adhoc-scale-v1 (bench_scale)
     Per (nodes, policy) row the deterministic simulation outputs —
     delivered_events, forward_count, received_count, full_delivery,
-    windows, completion_time, the canonical order_digest and the generic
-    decisions' view_compiles (those the view-free shortcut left) — must match
-    the baseline *exactly*: they are pure functions of (seed, wheels), so
-    any drift is a semantic change in the engine, not noise.  All policies
-    at one size must agree on received_count (forwarding policies change
-    who transmits, never who is reached).  Engine state bytes per node may
-    grow by at most --max-regression.  Timing fields are compared only
-    when both files carry them (a --no-timing run zeroes them):
-    events_per_sec gets the usual per-policy fractional floor.
+    windows, completion_time, the canonical order_digest, the generic
+    decisions' view_compiles (those the view-free shortcut left, in the
+    cold first run) and recalled_verdicts (Static verdicts the timed run
+    recalled from the engine's memo) — must match the baseline *exactly*:
+    they are pure functions of (seed, wheels), so any drift is a semantic
+    change in the engine, not noise.  All policies at one size must agree
+    on received_count (forwarding policies change who transmits, never who
+    is reached).  Engine state bytes per node may grow by at most
+    --max-regression.  Timing fields are compared only when both files
+    carry them (a --no-timing run zeroes them): events_per_sec gets the
+    usual per-policy fractional floor.
 
 adhoc-scale-resilience-v1 (bench_scale --resilience)
     Per (nodes, policy, crash_rate, churn) row the mean delivery ratio may
@@ -177,7 +179,7 @@ def check_scale(baseline, current, args):
     exact_fields = ("edges", "delivered_events", "forward_count",
                     "received_count", "full_delivery", "windows",
                     "peak_queue_events", "completion_time", "order_digest",
-                    "view_compiles")
+                    "view_compiles", "recalled_verdicts")
     baseline = scale_rows(baseline)
     current = scale_rows(current)
 

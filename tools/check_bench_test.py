@@ -71,6 +71,7 @@ def scale_doc():
            "received_count": 982, "full_delivery": False, "windows": 36,
            "peak_queue_events": 164, "completion_time": 36,
            "order_digest": "e5deef27cb7a9f0b", "view_compiles": 559,
+           "recalled_verdicts": 0,
            "engine_bytes_per_node": 54.0, "wall_seconds": 0,
            "events_per_sec": 0}
     return {
@@ -178,6 +179,16 @@ def _():
     proc = run_checker(base, cur)
     assert proc.returncode == 1
     assert "view_compiles" in proc.stderr
+
+
+@check("scale: drifted recalled_verdicts fails")
+def _():
+    base = scale_doc()
+    cur = copy.deepcopy(base)
+    cur["rows"][0]["recalled_verdicts"] = 981
+    proc = run_checker(base, cur)
+    assert proc.returncode == 1
+    assert "recalled_verdicts" in proc.stderr
 
 
 @check("scale: engine bytes above the ceiling fail")
